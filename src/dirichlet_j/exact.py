@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: pi-graded polynomials over the rationals,
-and exact generators for Euler and Bernoulli numbers.
+and the Euler and Bernoulli numbers, both read from one lazily grown integer
+table of up/down numbers A_n (sec t + tan t = sum_n A_n t^n / n!).
 
 Rationals are `fractions.Fraction` (always stored reduced, positive
 denominator). Constants such as lambda(2m) = (rational) * pi^{2m} live in
@@ -9,9 +10,10 @@ non-negative integer exponents.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import accumulate
 from typing import Iterable, Mapping, Union
 
 Coeff = Union[int, Fraction]
@@ -190,40 +192,44 @@ def half_pi_power(exp: int) -> PiPoly:
     return PiPoly.term(Fraction(1, 2**exp), exp)
 
 
+_up_down: list[int] = [1]  # A_0, A_1, ...
+_up_down_row: list[int] = [1]  # the last boustrophedon row; it ends in _up_down[-1]
+_up_down_lock = threading.Lock()
+
+
+def _up_down_numbers(n: int) -> list[int]:
+    """Up/down numbers [A_0, ..., A_n], growing the shared table in place.
+
+    Seidel's boustrophedon (integer additions only): each row is the running
+    sum, from 0, of the previous row reversed, and row n ends in A_n.
+    """
+    with _up_down_lock:
+        while len(_up_down) <= n:
+            _up_down_row[:] = list(accumulate(reversed(_up_down_row), initial=0))
+            _up_down.append(_up_down_row[-1])
+        return _up_down[: n + 1]
+
+
 def euler_numbers(count: int) -> list[int]:
     """Signed Euler numbers [E_0, E_2, ..., E_{2(count-1)}].
 
-    Computed from the exact power-series reciprocal of cos:
-    sec(t) = sum_k c_k t^{2k} with c_0 = 1 and, from sec*cos = 1,
-    c_k = -sum_{j=1..k} (-1)^j c_{k-j}/(2j)!.  Then E_{2k} = (-1)^k c_k (2k)!,
-    an integer with alternating sign.
+    E_{2k} = (-1)^k A_{2k}, read from the up/down table.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    c = [Fraction(1)] + [Fraction(0)] * (count - 1)
-    for k in range(1, count):
-        c[k] = -sum(Fraction((-1) ** j, factorial(2 * j)) * c[k - j] for j in range(1, k + 1))
-    out = []
-    for k in range(count):
-        e = c[k] * factorial(2 * k)
-        assert e.denominator == 1
-        out.append((-1) ** k * e.numerator)
-    return out
+    a = _up_down_numbers(2 * count - 2)
+    return [(-1) ** k * a[2 * k] for k in range(count)]
 
 
 def bernoulli_numbers(count: int) -> list[Fraction]:
     """Even-index Bernoulli numbers [B_0, B_2, ..., B_{2(count-1)}].
 
-    Classical binomial recurrence sum_{j<=m} C(m+1, j) B_j = 0 restricted to
-    even indices, with the odd contribution B_1 = -1/2 folded in (all other
-    odd B's vanish).
+    B_0 = 1 and B_{2m} = (-1)^{m-1} 2m A_{2m-1} / (4^m (4^m - 1)) for m >= 1,
+    from the tangent numbers A_{2m-1} in the up/down table.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    out = [Fraction(1)]
-    for m in range(1, count):
-        n = 2 * m
-        acc = sum(comb(n + 1, 2 * j) * out[j] for j in range(m))
-        acc += comb(n + 1, 1) * Fraction(-1, 2)
-        out.append(-acc / (n + 1))
-    return out
+    a = _up_down_numbers(2 * count - 3)
+    return [Fraction(1)] + [
+        Fraction((-1) ** (m - 1) * 2 * m * a[2 * m - 1], 4**m * (4**m - 1)) for m in range(1, count)
+    ]

@@ -66,15 +66,6 @@ class IdentityReport:
     passed: bool
     tol: float = 0.0
 
-    @property
-    def rel_diff(self) -> float:
-        scale = max(abs(_as_float(self.lhs)), abs(_as_float(self.rhs)))
-        return self.abs_diff / scale if scale else self.abs_diff
-
-
-def _as_float(side: Side) -> float:
-    return side.evalf() if isinstance(side, PiPoly) else float(side)
-
 
 def _exact_report(identity_id: str, params: tuple[int, ...], lhs: PiPoly, rhs: PiPoly) -> IdentityReport:
     equal = lhs == rhs

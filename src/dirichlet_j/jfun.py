@@ -34,7 +34,6 @@ __all__ = [
     "WExpansion",
     "j_quadrature",
     "j_euler_series",
-    "j_euler_series_terms",
     "j_riemann_sum",
     "j_closed_odd",
     "j_closed_even",
@@ -174,22 +173,6 @@ def j_quadrature(s: float, cfg: QuadratureConfig = QuadratureConfig()) -> EvalRe
 
 _EULER_MAX_INDEX_DEFAULT = 4000
 
-_euler_abs: list[int] = []
-_euler_lock = threading.Lock()
-
-
-def _euler_abs_table(count: int) -> list[int]:
-    """|E_0|, |E_2|, ... |E_{2(count-1)}|, grown on demand and cached."""
-    global _euler_abs
-    table = _euler_abs
-    if len(table) < count:
-        fresh = [abs(e) for e in euler_numbers(count)]
-        with _euler_lock:
-            if len(_euler_abs) < count:
-                _euler_abs = fresh
-            table = _euler_abs
-    return table
-
 
 def _envelope_total(n: int) -> float:
     """sum_{k>=0} (2k)!/(n+2k+1)! = (1/n!) sum_{i>=0} 2^-(i+1)/(n+i).
@@ -206,23 +189,6 @@ def _envelope_total(n: int) -> float:
             return acc / _gamma_s_plus_1(n)
         powhalf *= 0.5
         i += 1
-
-
-def j_euler_series_terms(n: int, count: int, max_index: int = _EULER_MAX_INDEX_DEFAULT):
-    """First `count` terms |E_{2k}| (pi/2)^{n+2k} / (n+2k+1)!, k = 0..count-1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if 2 * (count - 1) > max_index:
-        raise ConvergenceError(f"Euler table capped at index {max_index}")
-    e = _euler_abs_table(count)
-    terms = []
-    t = _HALF_PI**n / _gamma_s_plus_1(n + 1)
-    for k in range(count):
-        if k:
-            ratio = float(Fraction(e[k], e[k - 1]))
-            t *= ratio * _HALF_PI * _HALF_PI / ((n + 2 * k) * (n + 2 * k + 1))
-        terms.append(t)
-    return terms
 
 
 def j_euler_series(
@@ -246,7 +212,7 @@ def j_euler_series(
     partial = 0.0
     envelope_head = 0.0
     k = 0
-    e = _euler_abs_table(8)
+    e = euler_numbers(8)
     while True:
         partial += t
         envelope_head += b
@@ -260,8 +226,9 @@ def j_euler_series(
                 f"abs_tol={abs_tol:g} needs Euler numbers beyond index {max_index}"
             )
         if k >= len(e):
-            e = _euler_abs_table(2 * len(e))
-        ratio = float(Fraction(e[k], e[k - 1]))
+            e = euler_numbers(2 * len(e))
+        # |E_{2k}| / |E_{2k-2}|; int true division rounds correctly
+        ratio = -e[k] / e[k - 1]
         t *= ratio * _HALF_PI * _HALF_PI / ((n + 2 * k) * (n + 2 * k + 1))
         b = b_next
 

@@ -127,8 +127,10 @@ def csc_taylor_check(k_max: int) -> IdentityReport:
     """Even Taylor coefficients of csc at pi/2 vs the Euler numbers.
 
     csc(pi/2 + t) = sec(t); the reciprocal of the cosine series is computed
-    locally in exact rationals, coefficient k is scaled by (2k)!, and the
-    result must equal (-1)^k E_{2k} exactly for k = 0..k_max.
+    locally by a Fraction recurrence, coefficient k is scaled by (2k)!, and
+    the result must equal (-1)^k E_{2k} exactly for k = 0..k_max, where E is
+    read from the integer boustrophedon table behind :func:`euler_numbers`.
+    The two routes share no arithmetic.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -113,6 +113,13 @@ def test_criterion_6_remark1_exact():
     assert _report(6, ok, elapsed, 5.0, "both identities exactly equal for m = 1..20")
 
 
+def test_criterion_6_remark1_exact_to_m100():
+    start = time.perf_counter()
+    ok = all(a.passed and b.passed for a, b in map(check_remark1, range(1, 101)))
+    elapsed = time.perf_counter() - start
+    assert _report(6, ok, elapsed, 5.0, "both identities exactly equal for m = 1..100")
+
+
 def test_criterion_7_collapse_exact():
     start = time.perf_counter()
     ok = True

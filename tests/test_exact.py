@@ -30,7 +30,7 @@ class TestEulerNumbers:
         # oracle: sum_{j<=k} C(2k,2j) E_{2j} = 0 solved by hand for E_8
         assert euler_numbers(5) == [1, -1, 5, -61, 1385]
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", [*range(1, 9), 20, 60, 100])
     def test_binomial_recurrence_oracle(self, k):
         e = euler_numbers(k + 1)
         assert sum(math.comb(2 * k, 2 * j) * e[j] for j in range(k + 1)) == 0
@@ -44,6 +44,19 @@ class TestEulerNumbers:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             euler_numbers(0)
+
+    def test_beta_odd_bracket(self):
+        # |E_{2k}| = 2^{2k+2} (2k)! beta(2k+1) / pi^{2k+1} with pi/4 <= beta(2k+1) < 1,
+        # checked in rationals with pi bracketed to 150 digits (1 - beta(201) ~ 3^-201)
+        digits = 150
+        pi_lo = pi_fraction(digits) - Fraction(1, 10**digits)
+        pi_hi = pi_fraction(digits) + Fraction(1, 10**digits)
+        e = euler_numbers(101)
+        assert e[0] == 1  # k = 0 is the equality beta(1) = pi/4
+        for k in range(1, 101):
+            scale = Fraction(abs(e[k]), 2 ** (2 * k + 2) * math.factorial(2 * k))
+            assert scale * pi_lo ** (2 * k + 1) >= pi_hi / 4
+            assert scale * pi_hi ** (2 * k + 1) < 1
 
 
 def _bernoulli_akiyama_tanigawa(n_max):
@@ -75,9 +88,9 @@ class TestBernoulliNumbers:
         ]
 
     def test_against_akiyama_tanigawa(self):
-        ours = bernoulli_numbers(11)
-        oracle = _bernoulli_akiyama_tanigawa(20)
-        assert ours == [oracle[2 * m] for m in range(11)]
+        ours = bernoulli_numbers(60)
+        oracle = _bernoulli_akiyama_tanigawa(118)
+        assert ours == [oracle[2 * m] for m in range(60)]
 
     def test_signs(self):
         b = bernoulli_numbers(9)

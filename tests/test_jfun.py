@@ -1,10 +1,12 @@
 import math
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from dirichlet_j.exact import PiPoly
+from dirichlet_j.exact import PiPoly, bernoulli_numbers, euler_numbers
 from dirichlet_j.jfun import (
     ConvergenceError,
     QuadratureConfig,
@@ -12,7 +14,6 @@ from dirichlet_j.jfun import (
     j_closed_even,
     j_closed_odd,
     j_euler_series,
-    j_euler_series_terms,
     j_quadrature,
     j_riemann_sum,
     w_expansion,
@@ -77,9 +78,18 @@ class TestQuadrature:
         assert len(set(values)) == 1
 
 
+def _series_terms(n, count):
+    # the terms |E_{2k}| (pi/2)^{n+2k} / (n+2k+1)! that j_euler_series sums
+    e = euler_numbers(count)
+    return [
+        abs(e[k]) * (math.pi / 2) ** (n + 2 * k) / math.factorial(n + 2 * k + 1)
+        for k in range(count)
+    ]
+
+
 class TestEulerSeries:
     def test_first_term_quarter_pi(self):
-        assert j_euler_series_terms(1, 1)[0] == pytest.approx(math.pi / 4, rel=1e-15)
+        assert _series_terms(1, 1)[0] == pytest.approx(math.pi / 4, rel=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_quadrature_tightly(self, n):
@@ -95,17 +105,17 @@ class TestEulerSeries:
 
     def test_terms_all_positive(self):
         for n in (1, 2, 5):
-            assert all(t > 0 for t in j_euler_series_terms(n, 40))
+            assert all(t > 0 for t in _series_terms(n, 40))
 
     def test_terms_decay(self):
         for n in (1, 3, 8):
-            terms = j_euler_series_terms(n, 40)
+            terms = _series_terms(n, 40)
             assert all(b < a for a, b in zip(terms, terms[1:]))
 
     def test_term_envelope_bound(self):
         # each term is at most 4 (pi/2)^n / pi * (2k)!/(n+2k+1)!
         for n in (1, 2, 6):
-            terms = j_euler_series_terms(n, 30)
+            terms = _series_terms(n, 30)
             for k, t in enumerate(terms):
                 bound = (
                     4.0
@@ -117,21 +127,36 @@ class TestEulerSeries:
                 assert t <= bound * (1 + 1e-12)
 
     def test_table_cap(self):
-        with pytest.raises(ConvergenceError):
-            j_euler_series_terms(1, 30, max_index=40)
+        r = j_euler_series(1, abs_tol=1e-12, max_index=40)
+        assert 2 * (r.work - 1) <= 40
+        with pytest.raises(ConvergenceError, match="beyond index 40"):
+            j_euler_series(1, abs_tol=1e-30, max_index=40)
 
     def test_tolerance_unreachable_within_cap(self):
         with pytest.raises(ConvergenceError):
             j_euler_series(1, abs_tol=1e-30, max_index=10)
 
     def test_thread_safety_of_euler_table(self):
-        import dirichlet_j.jfun as jf
+        import dirichlet_j.exact as ex
 
-        with jf._euler_lock:
-            jf._euler_abs = []
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            values = list(pool.map(lambda _: j_euler_series(2, 1e-13).value, range(16)))
-        assert len(set(values)) == 1
+        def work(start):
+            start.wait(timeout=60)
+            return j_euler_series(2, 1e-13), tuple(bernoulli_numbers(40))
+
+        expected = work(threading.Barrier(1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                # an unlocked table loses an update in a few percent of rounds
+                for _ in range(300):
+                    with ex._up_down_lock:
+                        del ex._up_down[1:]
+                        ex._up_down_row[:] = [1]
+                    results = list(pool.map(work, [threading.Barrier(8)] * 8, timeout=60))
+                    assert results == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_validation(self):
         with pytest.raises(ValueError):

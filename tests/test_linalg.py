@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from dirichlet_j.exact import PiPoly, euler_numbers
 from dirichlet_j.linalg import (
     build_matrix,
     check_involution,
@@ -192,7 +193,7 @@ class TestLogTanSeries:
 
 
 class TestCscTaylor:
-    @pytest.mark.parametrize("k_max", [1, 3, 8])
+    @pytest.mark.parametrize("k_max", [1, 3, 8, 100])
     def test_exact_match(self, k_max):
         r = csc_taylor_check(k_max)
         assert r.exact and r.passed and r.abs_diff == 0.0
@@ -201,6 +202,19 @@ class TestCscTaylor:
         r = csc_taylor_check(8)
         assert r.identity_id == "lemma8" and r.params == (8,)
         assert r.lhs == r.rhs
+
+    def test_detects_a_wrong_euler_number(self, monkeypatch):
+        import dirichlet_j.linalg as la
+
+        def off_by_one(count):
+            e = euler_numbers(count)
+            e[5] += 1  # E_10 = -50521 becomes -50520
+            return e
+
+        monkeypatch.setattr(la, "euler_numbers", off_by_one)
+        r = csc_taylor_check(8)
+        assert r.passed is False and r.abs_diff > 0
+        assert r.lhs == PiPoly.term(50521, 0) and r.rhs == PiPoly.term(50520, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
