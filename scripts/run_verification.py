@@ -3,14 +3,15 @@
 
 Writes verification_report.json and verification_report.csv next to this
 script (or under --outdir) and prints the text summary. Returns exit code 1
-if any check fails, so it can gate CI.
+if any check fails, so it can gate CI. The battery runs once; all three
+formats are rendered from the same reports.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from dirichlet_j.cli import run
+from dirichlet_j.cli import THM1_NOTE, RunConfig, emit_report, suite_reports
 
 
 def main() -> int:
@@ -20,18 +21,16 @@ def main() -> int:
     parser.add_argument("--seed", type=lambda t: int(t, 0), default=0x5EED)
     args = parser.parse_args()
 
-    extra = ["--deep"] if args.deep else []
-    extra += ["--seed", str(args.seed)]
+    reports = suite_reports(RunConfig(command="verify", suite="all", seed=args.seed, deep=args.deep))
 
     json_path = args.outdir / "verification_report.json"
     csv_path = args.outdir / "verification_report.csv"
-
-    code = run(["verify", "all", "--format", "json", "-o", str(json_path)] + extra)
-    code |= run(["verify", "all", "--format", "csv", "-o", str(csv_path)] + extra)
-    code |= run(["verify", "all"] + extra)
+    json_path.write_text(emit_report(reports, "json"), encoding="utf-8")
+    csv_path.write_text(emit_report(reports, "csv"), encoding="utf-8")
+    sys.stdout.write(emit_report(reports, "text") + THM1_NOTE)
 
     print(f"\nreports: {json_path}\n         {csv_path}")
-    return code
+    return 0 if all(r.passed for r in reports) else 1
 
 
 if __name__ == "__main__":

@@ -44,12 +44,14 @@ from .jfun import (
 from .linalg import check_involution, csc_taylor_check, log_tan_series, trig_sum_check
 from .special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
-__all__ = ["RunConfig", "run", "main", "emit_report"]
+__all__ = ["RunConfig", "run", "main", "emit_report", "suite_reports", "THM1_NOTE"]
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_DIGITS = 15
 _INVOLUTION_SIZES = (1, 2, 4, 8, 16, 32, 64)
 _RANDOM_TRIG_CASES = 100
+THM1_NOTE = ("note: thm1 is checked in its proof form (J factors inside the sum); "
+             "the literal statement form fails numerically.\n")
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _suite_reports(cfg: RunConfig) -> list[IdentityReport]:
+def suite_reports(cfg: RunConfig) -> list[IdentityReport]:
+    """The reports of `verify cfg.suite`, sorted by identity id and params."""
     suite = cfg.suite
     tol = cfg.tol
     reports: list[IdentityReport] = []
@@ -253,6 +256,8 @@ def _suite_reports(cfg: RunConfig) -> list[IdentityReport]:
 
 def _parse_arg(text: str) -> float | int:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("argument must be a finite number")
     return int(value) if value.is_integer() else value
 
 
@@ -421,13 +426,10 @@ def run(argv: Sequence[str] | None = None) -> int:
             return 0
 
         if cfg.command == "verify":
-            reports = _suite_reports(cfg)
+            reports = suite_reports(cfg)
             _write_out(emit_report(reports, cfg.format), cfg.output_path)
             if cfg.suite in ("thm1", "all") and cfg.format == "text" and cfg.output_path is None:
-                sys.stdout.write(
-                    "note: thm1 is checked in its proof form (J factors inside the sum); "
-                    "the literal statement form fails numerically.\n"
-                )
+                sys.stdout.write(THM1_NOTE)
             return 0 if all(r.passed for r in reports) else 1
 
         # table

@@ -21,6 +21,7 @@ Coeff = Union[int, Fraction]
 __all__ = [
     "PiPoly",
     "half_pi_power",
+    "up_down_number",
     "euler_numbers",
     "bernoulli_numbers",
     "pi_fraction",
@@ -208,6 +209,13 @@ def _up_down_numbers(n: int) -> list[int]:
             _up_down_row[:] = list(accumulate(reversed(_up_down_row), initial=0))
             _up_down.append(_up_down_row[-1])
         return _up_down[: n + 1]
+
+
+def up_down_number(n: int) -> int:
+    """The up/down number A_n, read from the shared table."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _up_down_numbers(n)[n]
 
 
 def euler_numbers(count: int) -> list[int]:

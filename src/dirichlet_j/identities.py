@@ -27,8 +27,6 @@ from fractions import Fraction
 from math import factorial
 from typing import Literal, Union
 
-import numpy as np
-
 from .exact import PiPoly, half_pi_power
 from .jfun import j_euler_series, j_quadrature, j_closed_even, j_closed_odd, QuadratureConfig
 from .special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
@@ -254,14 +252,9 @@ def check_collapse(m: int) -> list[IdentityReport]:
     return reports
 
 
-def fourier_partial(kind: Kind, order: int, x: float, terms: int) -> float:
-    """Partial sum of sum_k sin((2k-1)x)/(2k-1)^order (or cos in the numerator)."""
-    if kind not in ("sine", "cosine"):
-        raise ValueError("kind must be 'sine' or 'cosine'")
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+def _odd_harmonic_sum(kind: Kind, order: int, x: float, terms: int) -> float:
+    """sum_{k=1..terms} sin((2k-1)x)/(2k-1)^order (or cos), in numpy chunks."""
+    import numpy as np
     total = 0.0
     chunk = 1 << 20
     for start in range(1, terms + 1, chunk):
@@ -270,6 +263,17 @@ def fourier_partial(kind: Kind, order: int, x: float, terms: int) -> float:
         num = np.sin(a * x) if kind == "sine" else np.cos(a * x)
         total += float(np.sum(num / a**order))
     return total
+
+
+def fourier_partial(kind: Kind, order: int, x: float, terms: int) -> float:
+    """Partial sum of sum_k sin((2k-1)x)/(2k-1)^order (or cos in the numerator)."""
+    if kind not in ("sine", "cosine"):
+        raise ValueError("kind must be 'sine' or 'cosine'")
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    return _odd_harmonic_sum(kind, order, x, terms)
 
 
 def fourier_closed(kind: Kind, m: int, x: float) -> float:

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
-
 from .exact import PiPoly, euler_numbers, half_pi_power
 from .special import EvalResult, beta_numeric, lambda_numeric
 
@@ -61,13 +59,15 @@ class QuadratureConfig:
 
 
 def _gamma_s_plus_1(s: float) -> float:
-    if float(s).is_integer():
-        return float(factorial(int(s)))
-    return math.gamma(s + 1.0)
+    try:
+        return float(factorial(int(s))) if float(s).is_integer() else math.gamma(s + 1.0)
+    except OverflowError:
+        raise ValueError(f"Gamma({s} + 1) overflows a double: J(s) requires s <= 170.62") from None
 
 
-def _integrand(x: np.ndarray | float, s: float):
+def _integrand(x, s: float):
     """x^s / sin(x) on (0, pi/2); x^s via exp(s log x) to behave for tiny x."""
+    import numpy as np
     return np.exp(s * np.log(x)) / np.sin(x)
 
 
@@ -78,20 +78,20 @@ def _integrand(x: np.ndarray | float, s: float):
 # Substitution x(t) = (pi/4) (1 + tanh((pi/2) sinh t)) maps the real line onto
 # (0, pi/2) with double-exponentially decaying weights, so the trapezoid rule
 # in t converges at roughly digits ~ 2^level even with an integrable endpoint
-# singularity.  Nodes near the left endpoint are generated from the stable
-# form x = (pi/2) e^{2z}/(1+e^{2z}), which keeps x positive down to ~1e-304.
+# singularity.  Nodes near 0 come from the stable form x = (pi/2) e^{2z}/(1+e^{2z})
+# (x > 0 down to ~1e-304) and each level is cached as pairs (log x, w / sin x):
+# a sum at any s costs one exp and one multiply per node, added by math.fsum.
 
 _T_MAX = 6.2  # beyond this the node weight underflows to 0
-_node_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_node_cache: dict[int, tuple[tuple[float, float], ...]] = {}
 _node_lock = threading.Lock()
 
 
-def _build_level(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights new at `level`: level 0 is the unit grid, higher levels
-    contribute only the odd multiples of h = 2^-level."""
+def _build_level(level: int) -> tuple[tuple[float, float], ...]:
+    """Nodes new at `level` as pairs (log x, w / sin x): level 0 is the unit
+    grid, higher levels contribute only the odd multiples of h = 2^-level."""
     h = 2.0 ** (-level)
-    xs: list[float] = []
-    ws: list[float] = []
+    nodes: list[tuple[float, float]] = []
     for k in range(int(_T_MAX / h) + 1):
         if level > 0 and k % 2 == 0:
             continue
@@ -107,12 +107,11 @@ def _build_level(level: int) -> tuple[np.ndarray, np.ndarray]:
                 x = _HALF_PI * ez / (1.0 + ez)
             if x == 0.0 or x == _HALF_PI:
                 continue
-            xs.append(x)
-            ws.append(w)
-    return np.asarray(xs), np.asarray(ws)
+            nodes.append((math.log(x), w / math.sin(x)))
+    return tuple(nodes)
 
 
-def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     try:
         return _node_cache[level]
     except KeyError:
@@ -129,19 +128,16 @@ def j_quadrature(s: float, cfg: QuadratureConfig = QuadratureConfig()) -> EvalRe
     cfg.target_abs_tol / 2 (measured on J itself); raises
     :class:`ConvergenceError` if cfg.max_level is exhausted first.
     """
-    if s <= 0:
-        raise ValueError("J(s) requires s > 0")
+    if not 0 < s < math.inf:
+        raise ValueError("J(s) requires finite s > 0")
     prefactor = 2.0 / math.pi / _gamma_s_plus_1(s)
     total = 0.0
     value = 0.0
     work = 0
     for level in range(cfg.max_level + 1):
-        xs, ws = _level_nodes(level)
-        # s very near 0 overflows the integrand at the innermost nodes; the
-        # resulting non-finite sums simply fail the convergence test below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            part = float(ws @ _integrand(xs, s))
-        work += xs.size
+        nodes = _level_nodes(level)
+        part = math.fsum(c * math.exp(s * log_x) for log_x, c in nodes)
+        work += len(nodes)
         h = 2.0 ** (-level)
         total = part if level == 0 else total / 2.0 + h * part
         new_value = total * prefactor
@@ -249,10 +245,11 @@ def j_riemann_sum(s: float, n: int) -> float:
 
     Diagnostic only; no error estimate is claimed.
     """
-    if s <= 0:
-        raise ValueError("J(s) requires s > 0")
+    if not 0 < s < math.inf:
+        raise ValueError("J(s) requires finite s > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
+    import numpy as np
     p = np.arange(1, n + 1, dtype=float)
     x = (2.0 * p - 1.0) * math.pi / (4.0 * n)
     return float(np.sum(_integrand(x, s))) / (_gamma_s_plus_1(s) * n)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import factorial
-from typing import Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal
 
 from .exact import euler_numbers
-from .identities import IdentityReport
+from .identities import IdentityReport, _odd_harmonic_sum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OddGridMatrix",
@@ -48,6 +49,7 @@ def build_matrix(n: int, kind: Kind) -> OddGridMatrix:
         raise ValueError("n must be >= 1")
     if kind not in ("sine", "cosine"):
         raise ValueError("kind must be 'sine' or 'cosine'")
+    import numpy as np
     odd = 2 * np.arange(1, n + 1, dtype=np.int64) - 1
     prod = np.outer(odd, odd) % (8 * n)  # angle numerator, period 8n <-> 2 pi
     theta = prod * (math.pi / (4 * n))
@@ -59,6 +61,7 @@ def check_involution(n: int, kind: Kind, tol: float | None = None) -> IdentityRe
     """max |M^2 - (n/2) I| over all entries, by direct multiplication."""
     if tol is None:
         tol = n * 1e-13
+    import numpy as np
     m = build_matrix(n, kind)
     square = m.entries @ m.entries
     target = (n / 2.0) * np.eye(n)
@@ -79,6 +82,7 @@ def trig_sum_check(lemma: TrigLemma, n: int, x: float, case: int | None = None) 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    import numpy as np
     k = np.arange(1, n + 1, dtype=float)
     a = (2.0 * k - 1.0) * x
     if lemma == "1_cos":
@@ -114,13 +118,7 @@ def log_tan_series(x: float, terms: int) -> float:
         raise ValueError("x must lie in (0, pi)")
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    total = 0.0
-    chunk = 1 << 20
-    for start in range(1, terms + 1, chunk):
-        k = np.arange(start, min(start + chunk, terms + 1), dtype=float)
-        a = 2.0 * k - 1.0
-        total += float(np.sum(np.cos(a * x) / a))
-    return total
+    return _odd_harmonic_sum("cosine", 1, x, terms)
 
 
 def csc_taylor_check(k_max: int) -> IdentityReport:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Literal
 
-from .exact import PiPoly, bernoulli_numbers, euler_numbers
+from .exact import PiPoly, up_down_number
 
 __all__ = [
     "EvalResult",
@@ -48,24 +48,20 @@ class EvalResult:
 
 
 def lambda_even_closed(m: int) -> PiPoly:
-    """lambda(2m) as an exact pi-polynomial:
-    (2^{2m}-1) * (-1)^{m-1} B_{2m} / (2 (2m)!) * pi^{2m}.
-    """
+    """lambda(2m) = A_{2m-1} pi^{2m} / (2^{2m+1} (2m-1)!) as an exact pi-polynomial,
+    A_{2m-1} being a tangent number read from the up/down table."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    b2m = bernoulli_numbers(m + 1)[m]
-    coeff = Fraction(2 ** (2 * m) - 1) * Fraction((-1) ** (m - 1), 2 * factorial(2 * m)) * b2m
+    coeff = Fraction(up_down_number(2 * m - 1), 2 ** (2 * m + 1) * factorial(2 * m - 1))
     return PiPoly.term(coeff, 2 * m)
 
 
 def beta_odd_closed(m: int) -> PiPoly:
-    """beta(2m-1) as an exact pi-polynomial:
-    (-1)^{m-1} E_{2m-2} / (2 (2m-2)!) * (pi/2)^{2m-1}.
-    """
+    """beta(2m-1) = A_{2m-2} (pi/2)^{2m-1} / (2 (2m-2)!) as an exact pi-polynomial,
+    A_{2m-2} being a secant number read from the up/down table."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    e = euler_numbers(m)[m - 1]
-    coeff = Fraction((-1) ** (m - 1) * e, 2 * factorial(2 * m - 2)) * Fraction(1, 2 ** (2 * m - 1))
+    coeff = Fraction(up_down_number(2 * m - 2), 2 ** (2 * m) * factorial(2 * m - 2))
     return PiPoly.term(coeff, 2 * m - 1)
 
 
@@ -97,8 +93,8 @@ def lambda_numeric(s: float, digits: int = 15) -> EvalResult:
     Evaluated as (1 - 2^-s) * zeta(s) with zeta(s) = eta(s) / (1 - 2^{1-s})
     and eta (the alternating zeta) summed by acceleration.
     """
-    if s <= 1:
-        raise ValueError("lambda(s) requires s > 1")
+    if not 1 < s < math.inf:
+        raise ValueError("lambda(s) requires finite s > 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     n = _terms_for_digits(digits)
@@ -111,8 +107,8 @@ def lambda_numeric(s: float, digits: int = 15) -> EvalResult:
 
 def beta_numeric(s: float, digits: int = 15) -> EvalResult:
     """beta(s) = sum (-1)^{n-1}/(2n-1)^s for s > 0, to `digits` digits."""
-    if s <= 0:
-        raise ValueError("beta(s) requires s > 0")
+    if not 0 < s < math.inf:
+        raise ValueError("beta(s) requires finite s > 0")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     n = _terms_for_digits(digits)

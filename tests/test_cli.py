@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dirichlet_j
 from dirichlet_j.cli import RunConfig, emit_report, run
 from dirichlet_j.exact import PiPoly
 from dirichlet_j.identities import IdentityReport
@@ -64,6 +68,22 @@ class TestCompute:
 
     def test_domain_error_is_usage_error(self):
         assert run(["compute", "lambda", "0.5"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,domain",
+        [
+            (["compute", "beta", "nan"], "finite"),
+            (["compute", "lambda", "inf"], "finite"),
+            (["compute", "J", "200"], "s <= 170.62"),
+            (["compute", "J", "171.5"], "s <= 170.62"),
+            (["table", "J", "--range", "165..172"], "s <= 170.62"),
+        ],
+        ids=["beta-nan", "lambda-inf", "J-200", "J-171.5", "table-J-165..172"],
+    )
+    def test_argument_outside_domain_is_usage_error(self, argv, domain, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert domain in captured.err and captured.out == ""
 
     def test_convergence_failure_exit_code(self):
         # s this close to 0 makes the value huge and the absolute target
@@ -163,6 +183,25 @@ class TestVerify:
         lines = path.read_text().splitlines()
         assert len(lines) > 400  # full battery
         assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_numpy_loaded_only_by_array_routes():
+    # a fresh interpreter, so modules imported by other tests do not count
+    script = """
+import sys
+import dirichlet_j
+from dirichlet_j import cli
+for argv in (["compute", "J", "1"], ["table", "J", "--range", "1..40"],
+             ["verify", "thm4"], ["verify", "remark1"]):
+    assert cli.run(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert cli.run(["verify", "lemmas"]) == 0
+assert "numpy" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(dirichlet_j.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestTable:

@@ -4,6 +4,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dirichlet_j.exact import PiPoly, bernoulli_numbers, euler_numbers
@@ -11,6 +12,7 @@ from dirichlet_j.jfun import (
     ConvergenceError,
     QuadratureConfig,
     _integrand,
+    _level_nodes,
     j_closed_even,
     j_closed_odd,
     j_euler_series,
@@ -55,10 +57,15 @@ class TestQuadrature:
         assert j_quadrature(2).value == pytest.approx(j2, abs=1e-13)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            j_quadrature(0.0)
-        with pytest.raises(ValueError):
-            j_quadrature(-2.0)
+        # s <= 0, non-finite s, and s where Gamma(s+1) overflows a double
+        for s in (0.0, -2.0, math.nan, math.inf, 171, 171.5, 200):
+            with pytest.raises(ValueError):
+                j_quadrature(s)
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-3])
+    def test_near_zero_fails_to_converge(self, s):
+        with pytest.raises(ConvergenceError):
+            j_quadrature(s)
 
     def test_convergence_failure_reported(self):
         with pytest.raises(ConvergenceError):
@@ -69,6 +76,16 @@ class TestQuadrature:
         assert _integrand(1e-12, 1.0) == pytest.approx(1.0, abs=1e-10)
         assert _integrand(1e-12, 2.0) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("s", [0.05, 1, 5, 18, 40])
+    def test_level_sums_match_numpy_reference(self, s):
+        # every cached level, summed as j_quadrature sums it, against
+        # w @ (x^s / sin x) over nodes rebuilt here from the tanh-sinh map
+        for level in range(QuadratureConfig().max_level + 1):
+            x, w = _reference_level(level)
+            ref = float(w @ (x**s / np.sin(x)))
+            part = math.fsum(c * math.exp(s * log_x) for log_x, c in _level_nodes(level))
+            assert abs(part - ref) <= 8 * math.ulp(ref), (level, part, ref)
+
     def test_thread_safety_of_node_cache(self):
         import dirichlet_j.jfun as jf
 
@@ -76,6 +93,25 @@ class TestQuadrature:
         with ThreadPoolExecutor(max_workers=8) as pool:
             values = list(pool.map(lambda _: j_quadrature(2).value, range(16)))
         assert len(set(values)) == 1
+
+
+def _reference_level(level):
+    # nodes x and weights w new at `level`, from x(t) = (pi/4)(1 + tanh((pi/2) sinh t))
+    h = 2.0**-level
+    half_pi = math.pi / 2
+    xs, ws = [], []
+    for k in range(int(6.2 / h) + 1):
+        if level > 0 and k % 2 == 0:
+            continue
+        for t in (0.0,) if k == 0 else (k * h, -k * h):
+            z = half_pi * math.sinh(t)
+            ez = math.exp(-2.0 * abs(z))
+            w = half_pi * half_pi * math.cosh(t) * 2.0 * ez / (1.0 + ez) ** 2
+            x = (half_pi if z >= 0 else half_pi * ez) / (1.0 + ez)
+            if w > 0.0 and 0.0 < x < half_pi:
+                xs.append(x)
+                ws.append(w)
+    return np.array(xs), np.array(ws)
 
 
 def _series_terms(n, count):

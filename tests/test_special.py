@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dirichlet_j.exact import PiPoly
+from dirichlet_j.exact import PiPoly, bernoulli_numbers, euler_numbers
 from dirichlet_j.special import (
     EvalResult,
     beta_numeric,
@@ -34,6 +34,18 @@ BETA_REF = {
 }
 
 
+def _lambda_from_bernoulli(m):
+    # lambda(2m) = (2^{2m}-1) (-1)^{m-1} B_{2m} / (2 (2m)!) pi^{2m}
+    b2m = bernoulli_numbers(m + 1)[m]
+    return PiPoly.term((4**m - 1) * (-1) ** (m - 1) * b2m / (2 * math.factorial(2 * m)), 2 * m)
+
+
+def _beta_from_euler(m):
+    # beta(2m-1) = (-1)^{m-1} E_{2m-2} / (2 (2m-2)!) (pi/2)^{2m-1}
+    e = euler_numbers(m)[m - 1]
+    return PiPoly.term(Fraction((-1) ** (m - 1) * e, 2 * math.factorial(2 * m - 2) * 2 ** (2 * m - 1)), 2 * m - 1)
+
+
 class TestClosedForms:
     @pytest.mark.parametrize(
         "m,expected",
@@ -41,7 +53,8 @@ class TestClosedForms:
             (1, PiPoly.term(Fraction(1, 8), 2)),
             (2, PiPoly.term(Fraction(1, 96), 4)),
             (3, PiPoly.term(Fraction(1, 960), 6)),
-        ],
+        ]
+        + [(m, _lambda_from_bernoulli(m)) for m in range(1, 121)],
     )
     def test_lambda_even(self, m, expected):
         assert lambda_even_closed(m) == expected
@@ -52,7 +65,8 @@ class TestClosedForms:
             (1, PiPoly.term(Fraction(1, 4), 1)),
             (2, PiPoly.term(Fraction(1, 32), 3)),
             (3, PiPoly.term(Fraction(5, 1536), 5)),
-        ],
+        ]
+        + [(m, _beta_from_euler(m)) for m in range(1, 121)],
     )
     def test_beta_odd(self, m, expected):
         assert beta_odd_closed(m) == expected
@@ -90,10 +104,9 @@ class TestLambdaNumeric:
         assert 1.0 < r.value < LAMBDA_REF[2]
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            lambda_numeric(1.0)
-        with pytest.raises(ValueError):
-            lambda_numeric(0.5)
+        for s in (1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                lambda_numeric(s)
 
     def test_monotone_decreasing(self):
         grid = [1.1 + 0.35 * i for i in range(26)]
@@ -130,10 +143,9 @@ class TestBetaNumeric:
         assert abs(r.value - closed) <= 10 * 1e-15 * abs(closed)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            beta_numeric(0.0)
-        with pytest.raises(ValueError):
-            beta_numeric(-1.0)
+        for s in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                beta_numeric(s)
 
     def test_monotone_increasing(self):
         grid = [0.5 + 0.38 * i for i in range(26)]
