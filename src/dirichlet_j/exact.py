@@ -62,6 +62,11 @@ def _as_fraction(value: Coeff) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _canonical(sums: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The stored form of a PiPoly: nonzero coefficients, sorted by exponent."""
+    return {e: c for e, c in sorted(sums.items()) if c}
+
+
 class PiPoly:
     """Exact polynomial in pi: a map {exponent >= 0 -> nonzero Fraction}.
 
@@ -77,12 +82,17 @@ class PiPoly:
         for exp, coeff in items:
             if not isinstance(exp, int) or exp < 0:
                 raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")
-            c = canon.get(exp, Fraction(0)) + _as_fraction(coeff)
-            if c:
-                canon[exp] = c
-            else:
-                canon.pop(exp, None)
-        object.__setattr__(self, "_terms", dict(sorted(canon.items())))
+            c = _as_fraction(coeff)
+            canon[exp] = canon[exp] + c if exp in canon else c
+        object.__setattr__(self, "_terms", _canonical(canon))
+
+    @classmethod
+    def _from_sums(cls, sums: dict[int, Fraction]) -> "PiPoly":
+        """Trusted constructor for arithmetic results, whose exponents and
+        Fraction coefficients need no validation."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", _canonical(sums))
+        return poly
 
     @classmethod
     def zero(cls) -> "PiPoly":
@@ -90,7 +100,9 @@ class PiPoly:
 
     @classmethod
     def term(cls, coeff: Coeff, exp: int) -> "PiPoly":
-        return cls(((exp, coeff),))
+        if not isinstance(exp, int) or exp < 0:
+            raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")
+        return cls._from_sums({exp: _as_fraction(coeff)})
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -108,8 +120,8 @@ class PiPoly:
             return NotImplemented
         merged = dict(self._terms)
         for exp, coeff in other._terms.items():
-            merged[exp] = merged.get(exp, Fraction(0)) + coeff
-        return PiPoly(merged)
+            merged[exp] = merged[exp] + coeff if exp in merged else coeff
+        return PiPoly._from_sums(merged)
 
     def __sub__(self, other: "PiPoly") -> "PiPoly":
         if not isinstance(other, PiPoly):
@@ -117,18 +129,18 @@ class PiPoly:
         return self + (-other)
 
     def __neg__(self) -> "PiPoly":
-        return PiPoly({e: -c for e, c in self._terms.items()})
+        return PiPoly._from_sums({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: Union["PiPoly", Coeff]) -> "PiPoly":
         if isinstance(other, PiPoly):
             prod: dict[int, Fraction] = {}
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():
-                    e = e1 + e2
-                    prod[e] = prod.get(e, Fraction(0)) + c1 * c2
-            return PiPoly(prod)
+                    e, c = e1 + e2, c1 * c2
+                    prod[e] = prod[e] + c if e in prod else c
+            return PiPoly._from_sums(prod)
         if isinstance(other, (int, Fraction)):
-            return PiPoly({e: c * other for e, c in self._terms.items()})
+            return PiPoly._from_sums({e: c * other for e, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__

@@ -21,6 +21,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .exact import PiPoly, euler_numbers, half_pi_power
@@ -40,6 +41,7 @@ __all__ = [
 
 _EPS = math.ulp(1.0)
 _HALF_PI = math.pi / 2.0
+_HALF_PI_REL_ERR = 3.9e-17  # |_HALF_PI - pi/2| / (pi/2) = 3.898e-17
 
 
 class ConvergenceError(RuntimeError):
@@ -170,6 +172,14 @@ def j_quadrature(s: float, cfg: QuadratureConfig = QuadratureConfig()) -> EvalRe
 _EULER_MAX_INDEX_DEFAULT = 4000
 
 
+def _over_factorial(x: float, m: int) -> float:
+    """x / m! for m! beyond a double too: m! is scaled down by a power of two,
+    which its trailing zero bits make exact, and the quotient scaled back."""
+    f = factorial(m)
+    shift = max(0, f.bit_length() - 1000)
+    return math.ldexp(x / float(f >> shift), -shift)
+
+
 def _envelope_total(n: int) -> float:
     """sum_{k>=0} (2k)!/(n+2k+1)! = (1/n!) sum_{i>=0} 2^-(i+1)/(n+i).
 
@@ -202,9 +212,10 @@ def j_euler_series(
         raise ValueError("abs_tol must be > 0")
 
     scale = 4.0 * _HALF_PI**n / math.pi
+    envelope_total = scale * _envelope_total(n)  # raises where n! overflows
     # envelope b_k = scale * (2k)!/(n+2k+1)!, kept alongside the true terms
-    b = scale / _gamma_s_plus_1(n + 1)
-    t = _HALF_PI**n / _gamma_s_plus_1(n + 1)
+    b = _over_factorial(scale, n + 1)
+    t = _over_factorial(_HALF_PI**n, n + 1)
     partial = 0.0
     envelope_head = 0.0
     k = 0
@@ -228,9 +239,11 @@ def j_euler_series(
         t *= ratio * _HALF_PI * _HALF_PI / ((n + 2 * k) * (n + 2 * k + 1))
         b = b_next
 
-    tail = scale * _envelope_total(n) - envelope_head
+    tail = envelope_total - envelope_head
     value = partial + tail
-    err = residual + 8.0 * _EPS * abs(value)
+    # rounding: each of the k additions into partial and envelope_head, and
+    # float pi/2 raised to the n, which carries n times its relative error
+    err = residual + ((8.0 + k) * _EPS + n * _HALF_PI_REL_ERR) * abs(value)
     return EvalResult(value, err, "euler_series", k + 1)
 
 
@@ -255,6 +268,13 @@ def j_riemann_sum(s: float, n: int) -> float:
     return float(np.sum(_integrand(x, s))) / (_gamma_s_plus_1(s) * n)
 
 
+@lru_cache(maxsize=1024)
+def _half_pi_factor(j: int, digits: int) -> float:
+    """(pi/2)^j / j!, evaluated exactly at `digits` (>= 15) and rounded once;
+    a constant of the closed forms, shared by every argument."""
+    return PiPoly.term(Fraction(1, 2**j * factorial(j)), j).evalf(digits)
+
+
 def j_closed_odd(n: int, digits: int = 15) -> EvalResult:
     """J(2n-1) from the closed form
     (pi/4) J(2n-1) = (-1)^{n-1} sum_{k=0}^{n-1} (-1)^k beta(2n-2k) (pi/2)^{2k} / (2k)!.
@@ -265,7 +285,7 @@ def j_closed_odd(n: int, digits: int = 15) -> EvalResult:
     err = 0.0
     work = 0
     for k in range(n):
-        factor = PiPoly.term(Fraction(1, 4**k * factorial(2 * k)), 2 * k).evalf(max(digits, 15))
+        factor = _half_pi_factor(2 * k, max(digits, 15))
         b = beta_numeric(2 * n - 2 * k, digits)
         acc += (-1) ** k * b.value * factor
         err += b.error_estimate * factor
@@ -287,9 +307,7 @@ def j_closed_even(n: int, digits: int = 15) -> EvalResult:
     err = lam.error_estimate
     work = lam.work
     for k in range(n):
-        factor = PiPoly.term(
-            Fraction(1, 2 ** (2 * k + 1) * factorial(2 * k + 1)), 2 * k + 1
-        ).evalf(max(digits, 15))
+        factor = _half_pi_factor(2 * k + 1, max(digits, 15))
         b = beta_numeric(2 * n - 2 * k, digits)
         acc -= (-1) ** k * b.value * factor
         err += b.error_estimate * factor

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Callable, Literal
 
@@ -29,6 +30,7 @@ Method = Literal["closed_form", "accelerated_series", "quadrature", "euler_serie
 _EPS = math.ulp(1.0)
 # error of the accelerated partial sum decays like _ACCEL_RATE^-terms
 _ACCEL_RATE = 3.0 + math.sqrt(8.0)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -71,19 +73,33 @@ def _terms_for_digits(digits: int) -> int:
     return min(math.ceil(1.32 * digits) + 4, 250)
 
 
+@lru_cache(maxsize=None)
+def _chebyshev_weights(terms: int) -> tuple[tuple[float, ...], float]:
+    """Weights c_0..c_{terms-1} and normaliser d of the accelerated sum.
+
+    They depend on `terms` alone, which `_terms_for_digits` caps at 250.
+    """
+    d = _ACCEL_RATE**terms
+    d = (d + 1.0 / d) / 2.0
+    b, c = -1.0, -d
+    weights = []
+    for k in range(terms):
+        c = b - c
+        weights.append(c)
+        b *= (k + terms) * (k - terms) / ((k + 0.5) * (k + 1.0))
+    return tuple(weights), d
+
+
 def _accelerated_alternating(a: Callable[[int], float], terms: int) -> float:
     """sum_{k>=0} (-1)^k a(k) for totally monotone a, accelerated.
 
     Chebyshev-polynomial weighting of the first `terms` partial sums; the
     truncation error is O((3+sqrt 8)^-terms * a(0)).
     """
-    d = _ACCEL_RATE**terms
-    d = (d + 1.0 / d) / 2.0
-    b, c, s = -1.0, -d, 0.0
-    for k in range(terms):
-        c = b - c
+    weights, d = _chebyshev_weights(terms)
+    s = 0.0
+    for k, c in enumerate(weights):
         s += c * a(k)
-        b *= (k + terms) * (k - terms) / ((k + 0.5) * (k + 1.0))
     return s / d
 
 
@@ -99,7 +115,8 @@ def lambda_numeric(s: float, digits: int = 15) -> EvalResult:
         raise ValueError("digits must be >= 1")
     n = _terms_for_digits(digits)
     eta = _accelerated_alternating(lambda k: (k + 1.0) ** (-s), n)
-    scale = (1.0 - 2.0 ** (-s)) / (1.0 - 2.0 ** (1.0 - s))
+    # 1 - 2^{1-s} through expm1: the plain difference cancels as s -> 1
+    scale = (1.0 - 2.0 ** (-s)) / -math.expm1((1.0 - s) * _LN2)
     value = eta * scale
     err = 4.0 * _ACCEL_RATE ** (-n) * abs(scale) + 16.0 * _EPS * abs(value)
     return EvalResult(value, err, "accelerated_series", n)

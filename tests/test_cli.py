@@ -54,6 +54,11 @@ class TestCompute:
         assert run(["compute", "J", "3", "--method", "euler_series"]) == 0
         assert "0.1796320799769" in capout()
 
+    def test_j_euler_series_at_170(self, capout):
+        # (170 + 1)! exceeds a double although J(170) does not
+        assert run(["compute", "J", "170", "--method", "euler_series"]) == 0
+        assert "J(170) = 1.7645" in capout()
+
     def test_j_riemann(self, capout):
         assert run(["compute", "J", "2", "--method", "riemann"]) == 0
         assert "riemann_sum" in capout()
@@ -77,8 +82,9 @@ class TestCompute:
             (["compute", "J", "200"], "s <= 170.62"),
             (["compute", "J", "171.5"], "s <= 170.62"),
             (["table", "J", "--range", "165..172"], "s <= 170.62"),
+            (["compute", "J", "171", "--method", "euler_series"], "s <= 170.62"),
         ],
-        ids=["beta-nan", "lambda-inf", "J-200", "J-171.5", "table-J-165..172"],
+        ids=["beta-nan", "lambda-inf", "J-200", "J-171.5", "table-J-165..172", "J-171-euler_series"],
     )
     def test_argument_outside_domain_is_usage_error(self, argv, domain, capsys):
         assert run(argv) == 2

@@ -135,6 +135,9 @@ class TestPiPoly:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             PiPoly({-1: Fraction(1)})
+        for exp in (-1, 1.5):
+            with pytest.raises(ValueError):
+                PiPoly.term(1, exp)
 
     def test_immutable(self):
         p = PiPoly.term(1, 1)
@@ -166,6 +169,27 @@ class TestPiPoly:
     @given(polys, polys, polys)
     def test_distributivity(self, a, b, c):
         assert a * (b + c) == a * b + a * c
+
+    @given(polys, polys, st.one_of(st.integers(-5, 5), coeffs))
+    def test_arithmetic_matches_public_constructor(self, a, b, k):
+        # every result equals PiPoly(...) over the same term sums, which
+        # validates and re-canonicalises each coefficient
+        a_items, b_items = list(a.terms.items()), list(b.terms.items())
+        cases = [
+            (a + b, PiPoly(a_items + b_items)),
+            (a - b, PiPoly(a_items + [(e, -c) for e, c in b_items])),
+            (-a, PiPoly([(e, -c) for e, c in a_items])),
+            (a * b, PiPoly([(e1 + e2, c1 * c2) for e1, c1 in a_items for e2, c2 in b_items])),
+            (a * k, PiPoly([(e, c * k) for e, c in a_items])),
+            (k * a, PiPoly([(e, k * c) for e, c in a_items])),
+        ]
+        for got, want in cases:
+            assert got == want
+            assert hash(got) == hash(want)
+            assert got.terms == want.terms
+            assert str(got) == str(want)
+        for zero in (a - a, a * 0, a * Fraction(0)):
+            assert zero.is_zero and zero.terms == {} and zero == PiPoly.zero()
 
     @given(polys)
     def test_coefficients_stay_reduced(self, a):

@@ -20,6 +20,7 @@ from dirichlet_j.jfun import (
     j_riemann_sum,
     w_expansion,
 )
+from dirichlet_j.special import beta_numeric, lambda_numeric
 
 # reference values: mpmath quad of x^s/sin(x) on (0, pi/2), mp.dps=30
 J_REF = {
@@ -199,6 +200,26 @@ class TestEulerSeries:
             j_euler_series(0)
         with pytest.raises(ValueError):
             j_euler_series(1, abs_tol=0.0)
+        with pytest.raises(ValueError, match="overflows a double"):
+            j_euler_series(171)
+
+    @pytest.mark.parametrize("n", range(1, 171))
+    def test_within_estimate_against_mpmath(self, n):
+        # abs_tol=1e-300 leaves only rounding in the estimate, the drift of
+        # float pi/2 raised to the n included
+        ref = _mpmath_j(n)
+        for abs_tol in (1e-12, 1e-300):
+            r = j_euler_series(n, abs_tol=abs_tol)
+            assert abs(r.value - ref) <= r.error_estimate, (abs_tol, r, ref)
+
+
+def _mpmath_j(n):
+    # (2/pi)/n! * integral_0^{pi/2} x^n / sin x dx at 30 digits; the integrand
+    # is smooth for integer n >= 1
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        integral = mpmath.quad(lambda x: x**n / mpmath.sin(x), [0, mpmath.pi / 2])
+        return float(integral * 2 / mpmath.pi / mpmath.factorial(n))
 
 
 class TestRiemannSum:
@@ -252,6 +273,51 @@ class TestClosedForms:
             j_closed_odd(0)
         with pytest.raises(ValueError):
             j_closed_even(0)
+
+    @pytest.mark.parametrize("digits", [15, 17, 30])
+    def test_bit_identical_to_uncached_factors(self, digits):
+        # (pi/2)^j / j! evaluated afresh per term, as the closed forms state it
+        def factor(j):
+            return PiPoly.term(Fraction(1, 2**j * math.factorial(j)), j).evalf(digits)
+
+        for n in range(1, 61):
+            acc, err, work = 0.0, 0.0, 0
+            for k in range(n):
+                b = beta_numeric(2 * n - 2 * k, digits)
+                acc += (-1) ** k * b.value * factor(2 * k)
+                err += b.error_estimate * factor(2 * k)
+                work += b.work
+            odd = j_closed_odd(n, digits)
+            assert odd.value == (-1) ** (n - 1) * acc * 4.0 / math.pi
+            assert odd.error_estimate == (err + 4.0 * math.ulp(1.0) * abs(acc)) * 4.0 / math.pi
+            assert odd.work == work
+
+            lam = lambda_numeric(2 * n + 1, digits)
+            acc, err, work = lam.value, lam.error_estimate, lam.work
+            for k in range(n):
+                b = beta_numeric(2 * n - 2 * k, digits)
+                acc -= (-1) ** k * b.value * factor(2 * k + 1)
+                err += b.error_estimate * factor(2 * k + 1)
+                work += b.work
+            even = j_closed_even(n, digits)
+            assert even.value == (-1) ** n * acc * 4.0 / math.pi
+            assert even.error_estimate == (err + 4.0 * math.ulp(1.0) * abs(acc)) * 4.0 / math.pi
+            assert even.work == work
+
+    def test_no_evalf_once_warm(self, monkeypatch):
+        j_closed_odd(20)
+        j_closed_even(20)
+        calls = []
+        evalf = PiPoly.evalf
+
+        def counting_evalf(self, digits=15):
+            calls.append(digits)
+            return evalf(self, digits)
+
+        monkeypatch.setattr(PiPoly, "evalf", counting_evalf)
+        j_closed_odd(20)
+        j_closed_even(20)
+        assert calls == []
 
 
 class TestCrossMethodAgreement:

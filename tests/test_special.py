@@ -7,6 +7,7 @@ import pytest
 from dirichlet_j.exact import PiPoly, bernoulli_numbers, euler_numbers
 from dirichlet_j.special import (
     EvalResult,
+    _accelerated_alternating,
     beta_numeric,
     beta_odd_closed,
     lambda_even_closed,
@@ -23,6 +24,10 @@ LAMBDA_REF = {
     9: 1.0000513451838438,
     11: 1.0000056660510901,
     12: 1.0000018858485831,
+    # near the pole at s = 1, at the double nearest each s
+    1 + 1e-7: 5000000.6322620985,
+    1 + 1e-5: 50000.635182258592,
+    1.001: 500.63529774639529,
 }
 BETA_REF = {
     1: 0.78539816339744831,
@@ -152,6 +157,28 @@ class TestBetaNumeric:
         values = [beta_numeric(s).value for s in grid]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] < 1.0
+
+
+def _recurrence_alternating(a, terms):
+    # the Chebyshev weights rebuilt inside the summation loop, per call
+    d = (3.0 + math.sqrt(8.0)) ** terms
+    d = (d + 1.0 / d) / 2.0
+    b, c, s = -1.0, -d, 0.0
+    for k in range(terms):
+        c = b - c
+        s += c * a(k)
+        b *= (k + terms) * (k - terms) / ((k + 0.5) * (k + 1.0))
+    return s / d
+
+
+@pytest.mark.parametrize(
+    "a",
+    [lambda k: (2.0 * k + 1.0) ** -0.5, lambda k: (2.0 * k + 1.0) ** -2.0, lambda k: (k + 1.0) ** -3.0],
+    ids=["beta-0.5", "beta-2", "eta-3"],
+)
+def test_cached_weights_match_recurrence(a):
+    for terms in range(1, 251):
+        assert _accelerated_alternating(a, terms) == _recurrence_alternating(a, terms), terms
 
 
 def _brute_alternating(a_fn, n_terms):
