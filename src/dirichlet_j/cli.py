@@ -8,7 +8,10 @@ Grammar:
 
 Exit codes: 0 success (verify: all checks passed), 1 failed identity,
 2 usage error, 3 evaluator convergence failure.
-The environment variable DIRICHLET_J_DIGITS overrides the default digits (15).
+The environment variable DIRICHLET_J_DIGITS overrides the default digits (15);
+a value that is not an integer >= 15 is a usage error for every command.
+json and csv output go through the stdlib `json` and `csv` modules; json
+writes non-finite floats as the strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
@@ -18,19 +21,17 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .exact import PiPoly
 from .identities import (
     IdentityReport,
+    _numeric_report,
     check_collapse,
     check_fourier,
     check_remark1,
     check_theorem1,
     check_theorem2,
     check_theorem4,
-    fourier_closed,
 )
 from .jfun import (
     ConvergenceError,
@@ -44,52 +45,15 @@ from .jfun import (
 from .linalg import check_involution, csc_taylor_check, log_tan_series, trig_sum_check
 from .special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
-__all__ = ["RunConfig", "run", "main", "emit_report", "suite_reports", "THM1_NOTE"]
+__all__ = ["SUITES", "run", "main", "emit_report", "suite_reports", "THM1_NOTE"]
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_DIGITS = 15
+DEFAULT_TOL = 1e-10
 _INVOLUTION_SIZES = (1, 2, 4, 8, 16, 32, 64)
 _RANDOM_TRIG_CASES = 100
 THM1_NOTE = ("note: thm1 is checked in its proof form (J factors inside the sum); "
              "the literal statement form fails numerically.\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; range applies to verify/table only."""
-
-    command: str
-    function: str | None = None
-    method: str = "auto"
-    s_or_m: float | int | None = None
-    suite: str | None = None
-    range: tuple[int, int] | None = None
-    digits: int = DEFAULT_DIGITS
-    tol: float = 1e-10
-    seed: int = DEFAULT_SEED
-    deep: bool = False
-    format: str = "text"
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if self.digits < 15:
-            raise ValueError("digits must be >= 15")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        if self.range is not None and self.command == "compute":
-            raise ValueError("range is only valid with verify/table")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    common = dict(command=args.command, format=getattr(args, "format", "text"))
-    if args.command == "compute":
-        return RunConfig(function=args.function, method=args.method, s_or_m=args.arg,
-                         digits=args.digits, **common)
-    if args.command == "verify":
-        return RunConfig(suite=args.suite, range=args.range, tol=args.tol, seed=args.seed,
-                         deep=args.deep, output_path=args.output, **common)
-    return RunConfig(function=args.function, range=args.range, digits=args.digits,
-                     output_path=args.output, **common)
 
 
 # ---------------------------------------------------------------------------
@@ -101,55 +65,52 @@ def _fmt_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _side_json(side) -> str:
-    if isinstance(side, PiPoly):
-        return '"' + str(side) + '"'
-    return _fmt_float(side)
+def _csv_cell(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return _fmt_float(v)
+    if isinstance(v, tuple):
+        return ";".join(str(p) for p in v)
+    return v
 
 
-def _side_text(side) -> str:
-    if isinstance(side, PiPoly):
-        return str(side)
-    return _fmt_float(side)
+def _json_cell(v):
+    return str(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def _serialize(fields: tuple[str, ...], rows: list[tuple], format: str) -> str:
+    """rows as a JSON array of objects keyed by `fields`, or as CSV under a
+    header of `fields`."""
+    if format == "json":
+        import json
+
+        return json.dumps([dict(zip(fields, map(_json_cell, row))) for row in rows], default=str)
+    import csv
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows(map(_csv_cell, row) for row in rows)
+    return out.getvalue()
+
+
+_REPORT_FIELDS = ("identity_id", "params", "lhs", "rhs", "abs_diff", "exact", "pass")
 
 
 def emit_report(reports: Sequence[IdentityReport], format: str = "text") -> str:
     """Deterministic serialization of identity reports.
 
-    json: array of objects with keys identity_id, params, lhs, rhs, abs_diff,
-    exact, pass; csv: header row with the same names; floats rendered with 17
-    significant digits.  Exact sides serialize as pi-polynomial strings.
+    json: one array of objects with keys identity_id, params, lhs, rhs,
+    abs_diff, exact, pass; numbers are shortest round-trip floats and the
+    non-finite ones the strings "inf", "-inf" and "nan".  csv: a header row
+    with the same names, floats with 17 significant digits.  Exact sides
+    serialize as pi-polynomial strings.
     """
-    if format == "json":
-        rows = []
-        for r in reports:
-            rows.append(
-                "{"
-                + f'"identity_id": "{r.identity_id}", '
-                + f'"params": [{", ".join(str(p) for p in r.params)}], '
-                + f'"lhs": {_side_json(r.lhs)}, '
-                + f'"rhs": {_side_json(r.rhs)}, '
-                + f'"abs_diff": {_fmt_float(r.abs_diff)}, '
-                + f'"exact": {"true" if r.exact else "false"}, '
-                + f'"pass": {"true" if r.passed else "false"}'
-                + "}"
-            )
-        if not rows:
-            return "[]"
-        return "[\n  " + ",\n  ".join(rows) + "\n]"
-
-    if format == "csv":
-        lines = ["identity_id,params,lhs,rhs,abs_diff,exact,pass"]
-        for r in reports:
-            params = ";".join(str(p) for p in r.params)
-            lhs = _side_text(r.lhs).replace(",", ";")
-            rhs = _side_text(r.rhs).replace(",", ";")
-            lines.append(
-                f"{r.identity_id},{params},{lhs},{rhs},"
-                f"{_fmt_float(r.abs_diff)},{'true' if r.exact else 'false'},"
-                f"{'true' if r.passed else 'false'}"
-            )
-        return "\n".join(lines) + "\n"
+    if format in ("json", "csv"):
+        rows = [(r.identity_id, r.params, r.lhs, r.rhs, r.abs_diff, r.exact, r.passed) for r in reports]
+        return _serialize(_REPORT_FIELDS, rows, format)
 
     if format == "text":
         if not reports:
@@ -186,65 +147,66 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def suite_reports(cfg: RunConfig) -> list[IdentityReport]:
-    """The reports of `verify cfg.suite`, sorted by identity id and params."""
-    suite = cfg.suite
-    tol = cfg.tol
-    reports: list[IdentityReport] = []
+def _m_range(span: tuple[int, int] | None, default_hi: int) -> range:
+    lo, hi = span or (1, default_hi)
+    return range(lo, hi + 1)
 
-    def mrange(default_hi: int, default_lo: int = 1):
-        lo, hi = cfg.range if cfg.range else (default_lo, default_hi)
-        return range(lo, hi + 1)
 
-    if suite in ("thm1", "all"):
-        reports += [check_theorem1(m, tol) for m in mrange(5)]
-    if suite in ("thm2", "all"):
-        reports += [check_theorem2(m, tol) for m in mrange(5)]
-    if suite in ("thm4", "all"):
-        for n in mrange(5):
-            reports += list(check_theorem4(n, tol))
-    if suite in ("remark1", "all"):
-        for m in mrange(20):
-            reports += list(check_remark1(m))
-    if suite in ("collapse", "all"):
-        for m in mrange(8):
-            reports += check_collapse(m)
-    if suite in ("lemmas", "all"):
-        for n in _INVOLUTION_SIZES:
-            reports.append(check_involution(n, "sine"))
-            reports.append(check_involution(n, "cosine"))
-        rng = random.Random(cfg.seed)
-        for variant in ("1_cos", "1_sin", "2_altcos"):
-            for case in range(_RANDOM_TRIG_CASES):
-                n = rng.randint(1, 50)
-                x = rng.uniform(0.05, math.pi / 2 - 0.05)
-                reports.append(trig_sum_check(variant, n, x, case=case))
-        terms = 10**6 if cfg.deep else 10**4
-        log_tol = 1e-5 if cfg.deep else 1e-3
-        for case, x in enumerate((1.0, math.pi / 3)):
-            partial = log_tan_series(x, terms)
-            closed = -0.5 * math.log(math.tan(x / 2.0))
-            diff = abs(partial - closed)
-            reports.append(
-                IdentityReport(
-                    "lemma7", (case,), partial, closed, diff, exact=False,
-                    passed=diff <= log_tol, tol=log_tol,
-                )
-            )
-        reports.append(csc_taylor_check(8))
-    if suite in ("fourier", "all"):
-        terms = 10**6 if cfg.deep else 2 * 10**4
-        for i in range(16):
-            x = i * (math.pi / 2) / 15
-            reports.append(
-                check_fourier("sine", 1, x, terms, tol=1e-5, params=(1, i), identity_id="eq_a2")
-            )
-        for m in (1, 2, 3):
-            for idx in (1, 2, 3, 4):
-                x = idx * math.pi / 8
-                reports.append(check_fourier("sine", m, x, terms, tol=1e-5, params=(m, idx)))
-                reports.append(check_fourier("cosine", m, x, terms, tol=1e-5, params=(m, idx)))
+def _lemmas(span, tol, seed, deep) -> list[IdentityReport]:
+    reports = [check_involution(n, kind) for n in _INVOLUTION_SIZES for kind in ("sine", "cosine")]
+    rng = random.Random(seed)
+    for variant in ("1_cos", "1_sin", "2_altcos"):
+        for case in range(_RANDOM_TRIG_CASES):
+            n = rng.randint(1, 50)
+            x = rng.uniform(0.05, math.pi / 2 - 0.05)
+            reports.append(trig_sum_check(variant, n, x, case=case))
+    terms = 10**6 if deep else 10**4
+    log_tol = 1e-5 if deep else 1e-3
+    for case, x in enumerate((1.0, math.pi / 3)):
+        closed = -0.5 * math.log(math.tan(x / 2.0))
+        reports.append(_numeric_report("lemma7", (case,), log_tan_series(x, terms), closed, tol=log_tol))
+    reports.append(csc_taylor_check(8))
+    return reports
 
+
+def _fourier(span, tol, seed, deep) -> list[IdentityReport]:
+    terms = 10**6 if deep else 2 * 10**4
+    reports = []
+    for i in range(16):
+        x = i * (math.pi / 2) / 15
+        reports.append(check_fourier("sine", 1, x, terms, tol=1e-5, params=(1, i), identity_id="eq_a2"))
+    for m in (1, 2, 3):
+        for idx in (1, 2, 3, 4):
+            x = idx * math.pi / 8
+            reports.append(check_fourier("sine", m, x, terms, tol=1e-5, params=(m, idx)))
+            reports.append(check_fourier("cosine", m, x, terms, tol=1e-5, params=(m, idx)))
+    return reports
+
+
+# Each suite maps (range or None, tol, seed, deep) to its reports; --range
+# sets m (or n) for the first five and is ignored by lemmas and fourier.
+SUITES: dict[str, Callable[..., list[IdentityReport]]] = {
+    "thm1": lambda span, tol, seed, deep: [check_theorem1(m, tol) for m in _m_range(span, 5)],
+    "thm2": lambda span, tol, seed, deep: [check_theorem2(m, tol) for m in _m_range(span, 5)],
+    "thm4": lambda span, tol, seed, deep: [r for n in _m_range(span, 5) for r in check_theorem4(n, tol)],
+    "remark1": lambda span, tol, seed, deep: [r for m in _m_range(span, 20) for r in check_remark1(m)],
+    "collapse": lambda span, tol, seed, deep: [r for m in _m_range(span, 8) for r in check_collapse(m)],
+    "lemmas": _lemmas,
+    "fourier": _fourier,
+}
+
+
+def suite_reports(
+    suite: str,
+    range: tuple[int, int] | None = None,
+    tol: float = DEFAULT_TOL,
+    seed: int = DEFAULT_SEED,
+    deep: bool = False,
+) -> list[IdentityReport]:
+    """The reports of `verify <suite>` ("all" runs every entry of SUITES),
+    sorted by identity id and params."""
+    names = SUITES if suite == "all" else (suite,)
+    reports = [r for name in names for r in SUITES[name](range, tol, seed, deep)]
     reports.sort(key=lambda r: (r.identity_id, r.params))
     return reports
 
@@ -261,10 +223,8 @@ def _parse_arg(text: str) -> float | int:
     return int(value) if value.is_integer() else value
 
 
-def _compute(cfg: RunConfig) -> tuple[float, str, float | None, int]:
+def _compute(fn: str, s: float | int, method: str, digits: int) -> tuple[float, str, float | None, int]:
     """Returns (value, method, error_estimate, work)."""
-    fn, s, method, digits = cfg.function, cfg.s_or_m, cfg.method, cfg.digits
-
     if fn == "lambda":
         if method in ("auto", "series"):
             r = lambda_numeric(s, digits)
@@ -272,8 +232,8 @@ def _compute(cfg: RunConfig) -> tuple[float, str, float | None, int]:
         if method == "closed":
             if isinstance(s, int) and s >= 2 and s % 2 == 0:
                 return lambda_even_closed(s // 2).evalf(digits), "closed_form", None, 0
-            raise SystemExit2("closed form for lambda needs an even integer argument >= 2")
-        raise SystemExit2(f"method {method!r} not available for lambda")
+            raise ValueError("closed form for lambda needs an even integer argument >= 2")
+        raise ValueError(f"method {method!r} not available for lambda")
 
     if fn == "beta":
         if method in ("auto", "series"):
@@ -282,8 +242,8 @@ def _compute(cfg: RunConfig) -> tuple[float, str, float | None, int]:
         if method == "closed":
             if isinstance(s, int) and s >= 1 and s % 2 == 1:
                 return beta_odd_closed((s + 1) // 2).evalf(digits), "closed_form", None, 0
-            raise SystemExit2("closed form for beta needs an odd integer argument >= 1")
-        raise SystemExit2(f"method {method!r} not available for beta")
+            raise ValueError("closed form for beta needs an odd integer argument >= 1")
+        raise ValueError(f"method {method!r} not available for beta")
 
     # J
     if method in ("auto", "quadrature"):
@@ -291,57 +251,59 @@ def _compute(cfg: RunConfig) -> tuple[float, str, float | None, int]:
         return r.value, r.method, r.error_estimate, r.work
     if method == "euler_series":
         if not isinstance(s, int) or s < 1:
-            raise SystemExit2("euler_series method needs an integer argument >= 1")
+            raise ValueError("euler_series method needs an integer argument >= 1")
         r = j_euler_series(s, abs_tol=10.0 ** (1 - digits))
         return r.value, r.method, r.error_estimate, r.work
     if method == "closed":
         if not isinstance(s, int) or s < 1:
-            raise SystemExit2("closed method needs an integer argument >= 1")
+            raise ValueError("closed method needs an integer argument >= 1")
         r = j_closed_odd((s + 1) // 2, digits) if s % 2 else j_closed_even(s // 2, digits)
         return r.value, r.method, r.error_estimate, r.work
     if method == "riemann":
         n = 10**4
         return j_riemann_sum(s, n), "riemann_sum", None, n
-    raise SystemExit2(f"method {method!r} not available for J")
+    raise ValueError(f"method {method!r} not available for J")
 
 
-def _table(cfg: RunConfig) -> str:
-    lo, hi = cfg.range
+_TABLE_FIELDS = ("s", "value", "error_estimate", "method")
+
+
+def _table(fn: str, span: tuple[int, int], digits: int, format: str) -> str:
+    lo, hi = span
     rows = []
     for s in range(lo, hi + 1):
-        if cfg.function == "lambda":
-            r = lambda_numeric(s, cfg.digits)
-        elif cfg.function == "beta":
-            r = beta_numeric(s, cfg.digits)
+        if fn == "lambda":
+            r = lambda_numeric(s, digits)
+        elif fn == "beta":
+            r = beta_numeric(s, digits)
         else:
-            r = j_quadrature(s, QuadratureConfig(target_abs_tol=10.0 ** (1 - cfg.digits)))
+            r = j_quadrature(s, QuadratureConfig(target_abs_tol=10.0 ** (1 - digits)))
         rows.append((s, r.value, r.error_estimate, r.method))
 
-    if cfg.format == "json":
-        body = ",\n  ".join(
-            "{"
-            + f'"s": {s}, "value": {_fmt_float(v)}, '
-            + f'"error_estimate": {_fmt_float(e)}, "method": "{m}"'
-            + "}"
-            for s, v, e, m in rows
-        )
-        return "[\n  " + body + "\n]" if rows else "[]"
-    if cfg.format == "csv":
-        lines = ["s,value,error_estimate,method"]
-        lines += [f"{s},{_fmt_float(v)},{_fmt_float(e)},{m}" for s, v, e, m in rows]
-        return "\n".join(lines) + "\n"
+    if format in ("json", "csv"):
+        return _serialize(_TABLE_FIELDS, rows, format)
     lines = [f"{'s':>4}  {'value':<22} {'error':>10}  method"]
     lines += [f"{s:>4}  {_fmt_float(v):<22} {e:>10.2e}  {m}" for s, v, e, m in rows]
     return "\n".join(lines) + "\n"
 
 
-class SystemExit2(Exception):
-    """Usage error discovered after argparse; mapped to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+
+def digits_type(text: str) -> int:
+    value = int(text)
+    if value < 15:
+        raise argparse.ArgumentTypeError("digits must be >= 15")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("tol must be a finite number > 0")
+    return value
 
 
 def _build_parser(default_digits: int) -> argparse.ArgumentParser:
@@ -350,12 +312,6 @@ def _build_parser(default_digits: int) -> argparse.ArgumentParser:
         description="Dirichlet lambda/beta values, the integral J(s), and identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def digits_type(text: str) -> int:
-        value = int(text)
-        if value < 15:
-            raise argparse.ArgumentTypeError("digits must be >= 15")
-        return value
 
     p_compute = sub.add_parser("compute", help="evaluate lambda, beta, or J at one argument")
     p_compute.add_argument("function", choices=["lambda", "beta", "J"])
@@ -368,12 +324,9 @@ def _build_parser(default_digits: int) -> argparse.ArgumentParser:
     p_compute.add_argument("--digits", type=digits_type, default=default_digits)
 
     p_verify = sub.add_parser("verify", help="run identity verification suites")
-    p_verify.add_argument(
-        "suite",
-        choices=["thm1", "thm2", "thm4", "remark1", "collapse", "lemmas", "fourier", "all"],
-    )
+    p_verify.add_argument("suite", choices=[*SUITES, "all"])
     p_verify.add_argument("--range", type=_parse_range, default=None, metavar="a..b")
-    p_verify.add_argument("--tol", type=float, default=1e-10)
+    p_verify.add_argument("--tol", type=positive_float, default=DEFAULT_TOL)
     p_verify.add_argument("--seed", type=lambda t: int(t, 0), default=DEFAULT_SEED)
     p_verify.add_argument("--deep", action="store_true", help="full 1e6-term series checks")
     p_verify.add_argument("--format", default="text", choices=["text", "json", "csv"])
@@ -402,8 +355,8 @@ def _write_out(text: str, path: str | None) -> None:
 def run(argv: Sequence[str] | None = None) -> int:
     env_digits = os.environ.get("DIRICHLET_J_DIGITS")
     try:
-        default_digits = int(env_digits) if env_digits else DEFAULT_DIGITS
-    except ValueError:
+        default_digits = digits_type(env_digits) if env_digits else DEFAULT_DIGITS
+    except (ValueError, argparse.ArgumentTypeError):
         sys.stderr.write(f"invalid DIRICHLET_J_DIGITS={env_digits!r}\n")
         return 2
     parser = _build_parser(default_digits)
@@ -413,10 +366,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
 
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "compute":
-            value, method, err, work = _compute(cfg)
-            line = f"{cfg.function}({cfg.s_or_m}) = {_fmt_float(value)}\n"
+        if args.command == "compute":
+            value, method, err, work = _compute(args.function, args.arg, args.method, args.digits)
+            line = f"{args.function}({args.arg}) = {_fmt_float(value)}\n"
             line += f"method: {method}"
             if err is not None:
                 line += f"   error estimate: {err:.2e}"
@@ -425,20 +377,16 @@ def run(argv: Sequence[str] | None = None) -> int:
             _write_out(line + "\n", None)
             return 0
 
-        if cfg.command == "verify":
-            reports = suite_reports(cfg)
-            _write_out(emit_report(reports, cfg.format), cfg.output_path)
-            if cfg.suite in ("thm1", "all") and cfg.format == "text" and cfg.output_path is None:
+        if args.command == "verify":
+            reports = suite_reports(args.suite, args.range, args.tol, args.seed, args.deep)
+            _write_out(emit_report(reports, args.format), args.output)
+            if args.suite in ("thm1", "all") and args.format == "text" and args.output is None:
                 sys.stdout.write(THM1_NOTE)
             return 0 if all(r.passed for r in reports) else 1
 
-        # table
-        _write_out(_table(cfg), cfg.output_path)
+        _write_out(_table(args.function, args.range, args.digits, args.format), args.output)
         return 0
 
-    except SystemExit2 as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")
         return 3

@@ -28,7 +28,7 @@ from math import factorial
 from typing import Literal, Union
 
 from .exact import PiPoly, half_pi_power
-from .jfun import j_euler_series, j_quadrature, j_closed_even, j_closed_odd, QuadratureConfig
+from .jfun import j_euler_series, j_quadrature, j_closed_even, j_closed_odd, w_expansion, QuadratureConfig
 from .special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
 __all__ = [
@@ -76,9 +76,11 @@ def _numeric_report(
     params: tuple[int, ...],
     lhs: float,
     rhs: float,
-    err_budget: float,
-    tol: float | None,
+    err_budget: float = 0.0,
+    tol: float | None = None,
 ) -> IdentityReport:
+    """A numeric check passing when |lhs - rhs| <= tol; tol defaults to
+    100 err_budget, floored at TOL_FLOOR."""
     if tol is None:
         tol = max(TOL_FLOOR, 100.0 * err_budget)
     diff = abs(lhs - rhs)
@@ -214,41 +216,31 @@ def check_remark1(m: int) -> tuple[IdentityReport, IdentityReport]:
 def check_collapse(m: int) -> list[IdentityReport]:
     """Exact coefficient collapse in the beta(2m) expansion over J(0..2m-1).
 
-    Expanding beta(2m) through the divergent-companion coefficients gives,
-    for each q, the coefficient of J(q):
+    Expanding beta(2m) through the divergent companions W(e) (see
+    `w_expansion`),
 
-      C_q = sum_{k : 2k-2 >= q, k <= m} (-1)^{k-1} lambda(2m-2k+2)
-                (-1)^q (pi/2)^{2k-2-q} / (2k-2-q)!
-            + (-1)^m beta(1) (-1)^q (pi/2)^{2m-1-q} / (2m-1-q)!
+      beta(2m) = sum_{k=1..m} (-1)^{k-1} lambda(2m-2k+2) W(2k-2)
+                 + (-1)^m beta(1) W(2m-1),
+
+    the coefficient C_q of J(q) sums each part's coefficient times the
+    coefficient of J(q) in its W(e), over the parts with e >= q.
 
     Even q: C_q equals the cosine closed-form value at pi/2, i.e. the zero
     polynomial.  Odd q = 2k-1: C_q equals (-1)^{k-1} beta(2m-2k+1).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    beta1 = beta_odd_closed(1)
+    parts = [((-1) ** (k - 1) * lambda_even_closed(m - k + 1), w_expansion(2 * k - 2)) for k in range(1, m + 1)]
+    parts.append(((-1) ** m * beta_odd_closed(1), w_expansion(2 * m - 1)))
     reports = []
     for q in range(2 * m):
         coeff = PiPoly.zero()
-        for k in range((q + 3) // 2, m + 1):
-            e = 2 * k - 2 - q
-            coeff = coeff + lambda_even_closed(m - k + 1) * Fraction(
-                (-1) ** (k - 1 + q), factorial(e)
-            ) * half_pi_power(e)
-        e = 2 * m - 1 - q
-        coeff = coeff + beta1 * Fraction((-1) ** (m + q), factorial(e)) * half_pi_power(e)
-
-        if q % 2 == 0:
-            expected = (-1) ** (q // 2) * cosine_value_poly_at_half_pi(m - q // 2)
-            passed = coeff == expected and expected.is_zero
-            diff = 0.0 if passed else abs((coeff - expected).evalf())
-            reports.append(
-                IdentityReport("collapse", (m, q), coeff, expected, diff, exact=True, passed=passed)
-            )
-        else:
-            k = (q + 1) // 2
-            expected = (-1) ** (k - 1) * beta_odd_closed(m - k + 1)
-            reports.append(_exact_report("collapse", (m, q), coeff, expected))
+        for c, w in parts:
+            if q <= w.order:
+                coeff = coeff + c * w.coefficients[q]
+        k = (q + 1) // 2
+        expected = PiPoly.zero() if q % 2 == 0 else (-1) ** (k - 1) * beta_odd_closed(m - k + 1)
+        reports.append(_exact_report("collapse", (m, q), coeff, expected))
     return reports
 
 
@@ -321,5 +313,4 @@ def check_fourier(
         identity_id = "eq_a3" if kind == "sine" else "eq_a4"
     if params is None:
         params = (m,)
-    diff = abs(lhs - rhs)
-    return IdentityReport(identity_id, params, lhs, rhs, diff, exact=False, passed=diff <= tol, tol=tol)
+    return _numeric_report(identity_id, params, lhs, rhs, tol=tol)

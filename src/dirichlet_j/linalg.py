@@ -14,7 +14,7 @@ from math import factorial
 from typing import TYPE_CHECKING, Literal
 
 from .exact import euler_numbers
-from .identities import IdentityReport, _odd_harmonic_sum
+from .identities import IdentityReport, _numeric_report, _odd_harmonic_sum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,7 +67,7 @@ def check_involution(n: int, kind: Kind, tol: float | None = None) -> IdentityRe
     target = (n / 2.0) * np.eye(n)
     diff = float(np.max(np.abs(square - target)))
     identity_id = "lemma3" if kind == "sine" else "lemma4"
-    return IdentityReport(identity_id, (n,), diff, 0.0, diff, exact=False, passed=diff <= tol, tol=tol)
+    return _numeric_report(identity_id, (n,), diff, 0.0, tol=tol)
 
 
 def trig_sum_check(lemma: TrigLemma, n: int, x: float, case: int | None = None) -> IdentityReport:
@@ -105,10 +105,8 @@ def trig_sum_check(lemma: TrigLemma, n: int, x: float, case: int | None = None) 
         identity_id = "lemma2"
     else:
         raise ValueError("lemma must be one of '1_cos', '1_sin', '2_altcos'")
-    tol = n * 1e-13
-    diff = abs(direct - closed)
     params = (n,) if case is None else (n, case)
-    return IdentityReport(identity_id, params, direct, closed, diff, exact=False, passed=diff <= tol, tol=tol)
+    return _numeric_report(identity_id, params, direct, closed, tol=n * 1e-13)
 
 
 def log_tan_series(x: float, terms: int) -> float:

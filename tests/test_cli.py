@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -7,23 +9,47 @@ import sys
 import pytest
 
 import dirichlet_j
-from dirichlet_j.cli import RunConfig, emit_report, run
+from dirichlet_j.cli import SUITES, emit_report, run, suite_reports
 from dirichlet_j.exact import PiPoly
 from dirichlet_j.identities import IdentityReport
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig(command="verify", suite="all")
-        assert cfg.digits == 15 and cfg.tol == 1e-10 and cfg.seed == 0x5EED
+class TestDefaults:
+    def test_defaults(self, capsys):
+        # digits 15
+        assert run(["compute", "beta", "2"]) == 0
+        implicit = capsys.readouterr().out
+        assert run(["compute", "beta", "2", "--digits", "15"]) == 0
+        assert capsys.readouterr().out == implicit
+        # tol 1e-10 and seed 0x5EED
+        assert {r.tol for r in suite_reports("thm2", range=(1, 2))} == {1e-10}
+        assert suite_reports("lemmas") == suite_reports("lemmas", seed=0x5EED)
+        assert suite_reports("lemmas") != suite_reports("lemmas", seed=7)
 
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="compute", function="J", s_or_m=1, digits=10)
-        with pytest.raises(ValueError):
-            RunConfig(command="verify", suite="all", tol=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(command="compute", function="J", s_or_m=1, range=(1, 2))
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _assert_csv_matches_json(csv_text, rows):
+    """Every CSV cell holds the value of its JSON field; floats bit for bit."""
+    records = list(csv.DictReader(io.StringIO(csv_text)))
+    assert len(records) == len(rows)
+    for record, row in zip(records, rows):
+        assert list(record) == list(row)
+        for key, value in row.items():
+            cell = record[key]
+            if isinstance(value, bool):
+                assert cell == ("true" if value else "false"), key
+            elif isinstance(value, list):
+                assert cell == ";".join(str(p) for p in value), key
+            elif isinstance(value, float) or value in ("inf", "-inf", "nan"):
+                assert repr(float(cell)) == repr(float(value)), key
+            else:
+                assert cell == str(value), key
 
 
 @pytest.fixture
@@ -104,9 +130,12 @@ class TestCompute:
         assert run(["compute", "beta", "2"]) == 0
         assert "0.915965594177219" in capout()
 
-    def test_env_var_invalid(self, monkeypatch):
-        monkeypatch.setenv("DIRICHLET_J_DIGITS", "many")
-        assert run(["compute", "beta", "2"]) == 2
+    def test_env_var_invalid(self, monkeypatch, capsys):
+        for value in ("many", "10"):
+            monkeypatch.setenv("DIRICHLET_J_DIGITS", value)
+            for argv in (["compute", "beta", "2"], ["verify", "thm2"], ["table", "beta", "--range", "1..2"]):
+                assert run(argv) == 2
+                assert f"invalid DIRICHLET_J_DIGITS='{value}'" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -140,6 +169,8 @@ class TestVerify:
 
     def test_nonpositive_tol_usage_error(self):
         assert run(["verify", "thm1", "--tol", "-1e-5"]) == 2
+        for tol in ("0", "nan", "inf"):
+            assert run(["verify", "thm1", "--tol", tol]) == 2
 
     def test_json_roundtrip(self, capout):
         assert run(["verify", "thm2", "--range", "1..3", "--format", "json"]) == 0
@@ -182,6 +213,15 @@ class TestVerify:
         text = path.read_text()
         assert "\r" not in text
         assert text.splitlines()[0].startswith("identity_id")
+
+    @pytest.mark.parametrize("suite", [*SUITES, "all"])
+    def test_json_strict_and_equal_to_csv(self, suite, tmp_path):
+        paths = {fmt: tmp_path / f"report.{fmt}" for fmt in ("json", "csv")}
+        for fmt, path in paths.items():
+            assert run(["verify", suite, "--format", fmt, "-o", str(path)]) == 0
+        rows = _strict_json(paths["json"].read_text())
+        assert rows
+        _assert_csv_matches_json(paths["csv"].read_text(), rows)
 
     def test_verify_all_passes(self, tmp_path):
         path = tmp_path / "all.csv"
@@ -228,6 +268,15 @@ class TestTable:
         assert lines[0] == "s,value,error_estimate,method"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("function", ["lambda", "beta", "J"])
+    def test_json_strict_and_equal_to_csv(self, function, capout):
+        argv = ["table", function, "--range", "2..12", "--format"]
+        assert run(argv + ["json"]) == 0
+        rows = _strict_json(capout())
+        assert [r["s"] for r in rows] == list(range(2, 13))
+        assert run(argv + ["csv"]) == 0
+        _assert_csv_matches_json(capout(), rows)
+
     def test_range_required(self):
         assert run(["table", "J"]) == 2
 
@@ -258,6 +307,28 @@ class TestEmitReport:
         out = emit_report([report], "json")
         assert json.loads(out)[0]["lhs"] == value
 
+    def test_non_finite_sides_are_json_strings(self):
+        reports = [
+            IdentityReport("thm1", (1,), math.inf, -math.inf, math.inf, exact=False, passed=False),
+            IdentityReport("thm1", (2,), math.nan, 1.0, math.nan, exact=False, passed=False),
+        ]
+        rows = _strict_json(emit_report(reports, "json"))
+        assert [(r["lhs"], r["rhs"], r["abs_diff"]) for r in rows] == [("inf", "-inf", "inf"), ("nan", 1.0, "nan")]
+        _assert_csv_matches_json(emit_report(reports, "csv"), rows)
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report([], "xml")
+
+
+def test_run_verification_script(tmp_path):
+    src = os.path.dirname(os.path.dirname(dirichlet_j.__file__))
+    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "run_verification.py")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, script, "--outdir", str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    _strict_json((tmp_path / "verification_report.json").read_text())
+    header = (tmp_path / "verification_report.csv").read_text().splitlines()[0]
+    assert header == "identity_id,params,lhs,rhs,abs_diff,exact,pass"
