@@ -184,7 +184,9 @@ def _fourier(span, tol, seed, deep) -> list[IdentityReport]:
 
 
 # Each suite maps (range or None, tol, seed, deep) to its reports; --range
-# sets m (or n) for the first five and is ignored by lemmas and fourier.
+# sets m (or n) for the first five.  lemmas and fourier run fixed points at
+# fixed tolerances, so `verify lemmas|fourier` rejects --tol and --range.
+_FIXED_SUITES = ("lemmas", "fourier")
 SUITES: dict[str, Callable[..., list[IdentityReport]]] = {
     "thm1": lambda span, tol, seed, deep: [check_theorem1(m, tol) for m in _m_range(span, 5)],
     "thm2": lambda span, tol, seed, deep: [check_theorem2(m, tol) for m in _m_range(span, 5)],
@@ -326,7 +328,7 @@ def _build_parser(default_digits: int) -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run identity verification suites")
     p_verify.add_argument("suite", choices=[*SUITES, "all"])
     p_verify.add_argument("--range", type=_parse_range, default=None, metavar="a..b")
-    p_verify.add_argument("--tol", type=positive_float, default=DEFAULT_TOL)
+    p_verify.add_argument("--tol", type=positive_float, default=None, help=f"numeric tolerance (default {DEFAULT_TOL:g})")
     p_verify.add_argument("--seed", type=lambda t: int(t, 0), default=DEFAULT_SEED)
     p_verify.add_argument("--deep", action="store_true", help="full 1e6-term series checks")
     p_verify.add_argument("--format", default="text", choices=["text", "json", "csv"])
@@ -378,7 +380,10 @@ def run(argv: Sequence[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
-            reports = suite_reports(args.suite, args.range, args.tol, args.seed, args.deep)
+            if args.suite in _FIXED_SUITES and (args.tol is not None or args.range is not None):
+                raise ValueError(f"verify {args.suite} has fixed tolerances and points; it takes no --tol or --range")
+            tol = DEFAULT_TOL if args.tol is None else args.tol
+            reports = suite_reports(args.suite, args.range, tol, args.seed, args.deep)
             _write_out(emit_report(reports, args.format), args.output)
             if args.suite in ("thm1", "all") and args.format == "text" and args.output is None:
                 sys.stdout.write(THM1_NOTE)

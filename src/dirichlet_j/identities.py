@@ -244,17 +244,43 @@ def check_collapse(m: int) -> list[IdentityReport]:
     return reports
 
 
+_CHUNK = 1 << 16  # terms per chunk: each chunk array is 512 KB of doubles
+
+
 def _odd_harmonic_sum(kind: Kind, order: int, x: float, terms: int) -> float:
-    """sum_{k=1..terms} sin((2k-1)x)/(2k-1)^order (or cos), in numpy chunks."""
+    """sum_{k=1..terms} sin((2k-1)x)/(2k-1)^order (or cos) by angle addition.
+
+    Each chunk of up to _CHUNK terms is a rows x block grid (block ~ sqrt of
+    the chunk) of odd a = a0 + 2 r block + 2 j, so sin(a x) and cos(a x)
+    follow from phi_j = (a0 + 2j) x and theta_r = 2 r block x by angle
+    addition: rows + block trig calls per chunk, not rows * block.  Row sums
+    of w sin(phi_j) and w cos(phi_j), w = a^-order (0 past the last term),
+    use numpy's pairwise summation; math.fsum adds the rotated row sums of
+    all chunks, so the large first terms take a single rounding there.
+    """
     import numpy as np
-    total = 0.0
-    chunk = 1 << 20
-    for start in range(1, terms + 1, chunk):
-        k = np.arange(start, min(start + chunk, terms + 1), dtype=float)
-        a = 2.0 * k - 1.0
-        num = np.sin(a * x) if kind == "sine" else np.cos(a * x)
-        total += float(np.sum(num / a**order))
-    return total
+
+    parts: list[float] = []
+    for start in range(0, terms, _CHUNK):
+        count = min(_CHUNK, terms - start)
+        block = math.isqrt(count - 1) + 1
+        rows = -(-count // block)
+        a0 = 2 * start + 1
+        a = np.arange(a0, a0 + 2 * rows * block, 2, dtype=float)
+        w = a.copy()  # a**order would call pow() per element
+        for _ in range(order - 1):
+            w *= a
+        np.reciprocal(w, out=w)
+        w[count:] = 0.0
+        w = w.reshape(rows, block)
+        phi = a[:block] * x
+        sin_sum = np.sum(w * np.sin(phi), axis=1)
+        cos_sum = np.sum(w * np.cos(phi), axis=1)
+        theta = np.arange(0, 2 * rows * block, 2 * block, dtype=float) * x
+        along, across = (sin_sum, cos_sum) if kind == "sine" else (cos_sum, -sin_sum)
+        parts += (np.cos(theta) * along).tolist()
+        parts += (np.sin(theta) * across).tolist()
+    return math.fsum(parts)
 
 
 def fourier_partial(kind: Kind, order: int, x: float, terms: int) -> float:
@@ -265,6 +291,8 @@ def fourier_partial(kind: Kind, order: int, x: float, terms: int) -> float:
         raise ValueError("order must be >= 2")
     if terms < 1:
         raise ValueError("terms must be >= 1")
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
     return _odd_harmonic_sum(kind, order, x, terms)
 
 

@@ -161,6 +161,21 @@ class TestVerify:
     def test_fourier(self):
         assert run(["verify", "fourier"]) == 0
 
+    @pytest.mark.parametrize("suite", ["lemmas", "fourier"])
+    @pytest.mark.parametrize("option", [["--tol", "1e-30"], ["--range", "1..3"]])
+    def test_fixed_suites_reject_tol_and_range(self, suite, option, capsys):
+        assert run(["verify", suite, *option]) == 2
+        assert f"usage error: verify {suite} has fixed tolerances" in capsys.readouterr().err
+
+    def test_all_applies_tol_and_range_to_the_five(self, capout):
+        assert run(["verify", "all", "--range", "2..2", "--tol", "1e-30", "--format", "json"]) == 1
+        rows = json.loads(capout())
+        ranged = [r for r in rows if r["identity_id"].startswith(("thm", "remark1", "collapse"))]
+        assert {r["params"][0] for r in ranged} == {2}
+        failed = {r["identity_id"] for r in rows if not r["pass"]}
+        assert failed and failed <= {"thm1", "thm2", "thm4_odd", "thm4_even"}
+        assert sum(r["identity_id"] == "eq_a2" for r in rows) == 16
+
     def test_bad_suite_usage_error(self):
         assert run(["verify", "thm9"]) == 2
 
@@ -321,12 +336,17 @@ class TestEmitReport:
             emit_report([], "xml")
 
 
-def test_run_verification_script(tmp_path):
+@pytest.mark.parametrize("extra", [[], ["--deep"]], ids=["default", "deep"])
+def test_run_verification_script(tmp_path, extra):
     src = os.path.dirname(os.path.dirname(dirichlet_j.__file__))
     script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "run_verification.py")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, script, "--outdir", str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, script, "--outdir", str(tmp_path), *extra],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     _strict_json((tmp_path / "verification_report.json").read_text())

@@ -21,6 +21,10 @@ from dirichlet_j.special import beta_odd_closed, lambda_even_closed
 PI_CUBED_OVER_32 = 0.96894614625936938  # beta(3); mpmath mp.dps=30
 LAMBDA_2 = 1.2337005501361698
 BETA_1 = 0.78539816339744831
+EPS = math.ulp(1.0)
+# 1, 2, 3 and 1000 fill a partial grid; 65536 is one full chunk, 65537 one
+# chunk plus a single term, 140001 two chunks plus a partial third
+KERNEL_TERMS = (1, 2, 3, 1000, 65536, 65537, 140001)
 
 
 class TestTheorem1:
@@ -150,6 +154,38 @@ class TestFourierPartial:
             fourier_partial("sine", 3, 0.3, 0)
         with pytest.raises(ValueError):
             fourier_partial("tangent", 3, 0.3, 100)
+        with pytest.raises(ValueError):
+            fourier_partial("sine", 3, math.nan, 10)
+        with pytest.raises(ValueError):
+            fourier_partial("cosine", 2, math.inf, 10)
+
+    @pytest.mark.parametrize("kind", ["sine", "cosine"])
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7])
+    def test_matches_term_by_term_fsum(self, kind, order):
+        # the reference sums sin((2k-1)x)/(2k-1)^order one term at a time;
+        # each term may round by a few ulp of its weight plus the rounding
+        # of its angle (2k-1)x, which the kernel forms from two products
+        trig = math.sin if kind == "sine" else math.cos
+        odd = range(1, 2 * KERNEL_TERMS[-1], 2)
+        for x in (0.7, math.pi / 2):
+            values = [trig(a * x) / a**order for a in odd]
+            scales = [(1.0 + a * x) / a**order for a in odd]
+            for n in KERNEL_TERMS:
+                ref = math.fsum(values[:n])
+                tol = 4 * EPS * math.fsum(scales[:n])
+                assert abs(fourier_partial(kind, order, x, n) - ref) <= tol, (x, n)
+
+    def test_memory_stays_chunk_sized(self):
+        import tracemalloc
+
+        fourier_partial("sine", 3, 0.7, 10)  # import numpy outside the trace
+        tracemalloc.start()
+        try:
+            fourier_partial("sine", 3, 0.7, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
 
 
 class TestFourierClosed:

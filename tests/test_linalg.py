@@ -183,6 +183,19 @@ class TestLogTanSeries:
         for t in (10**3, 10**4, 10**5):
             assert amplitude(2 * t) < amplitude(t)
 
+    @pytest.mark.parametrize("x", [0.05, 1.0, 2.9])
+    def test_matches_term_by_term_fsum(self, x):
+        # reference summed one term at a time; each term may round by a few
+        # ulp of 1/(2k-1) plus the rounding of its angle (2k-1)x, which the
+        # kernel forms from two products.  1, 2, 3 and 1000 terms fill a
+        # partial grid, 65536 one full chunk, 140001 a partial third chunk
+        odd = range(1, 2 * 140001, 2)
+        values = [math.cos(a * x) / a for a in odd]
+        scales = [(1.0 + a * x) / a for a in odd]
+        for n in (1, 2, 3, 1000, 65536, 65537, 140001):
+            tol = 4 * math.ulp(1.0) * math.fsum(scales[:n])
+            assert abs(log_tan_series(x, n) - math.fsum(values[:n])) <= tol, n
+
     def test_domain(self):
         with pytest.raises(ValueError):
             log_tan_series(0.0, 10)
