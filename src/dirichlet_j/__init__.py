@@ -1,80 +1,13 @@
 """Dirichlet lambda/beta functions, the cosecant-moment integral J(s), and a
 machine-checked suite of the identities relating them."""
 
-from .exact import PiPoly, bernoulli_numbers, euler_numbers, half_pi_power, pi_fraction
-from .identities import (
-    IdentityReport,
-    check_collapse,
-    check_fourier,
-    check_remark1,
-    check_theorem1,
-    check_theorem2,
-    check_theorem4,
-    fourier_closed,
-    fourier_partial,
-)
-from .jfun import (
-    ConvergenceError,
-    QuadratureConfig,
-    WExpansion,
-    j_closed_even,
-    j_closed_odd,
-    j_euler_series,
-    j_quadrature,
-    j_riemann_sum,
-    w_expansion,
-)
-from .linalg import (
-    OddGridMatrix,
-    build_matrix,
-    check_involution,
-    csc_taylor_check,
-    log_tan_series,
-    trig_sum_check,
-)
-from .special import (
-    EvalResult,
-    beta_numeric,
-    beta_odd_closed,
-    lambda_even_closed,
-    lambda_numeric,
-)
+from . import exact, identities, jfun, linalg, special
+from .exact import *  # noqa: F403
+from .identities import *  # noqa: F403
+from .jfun import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .special import *  # noqa: F403
 
-__all__ = [
-    "PiPoly",
-    "bernoulli_numbers",
-    "euler_numbers",
-    "half_pi_power",
-    "pi_fraction",
-    "EvalResult",
-    "lambda_even_closed",
-    "beta_odd_closed",
-    "lambda_numeric",
-    "beta_numeric",
-    "QuadratureConfig",
-    "ConvergenceError",
-    "WExpansion",
-    "j_quadrature",
-    "j_euler_series",
-    "j_riemann_sum",
-    "j_closed_odd",
-    "j_closed_even",
-    "w_expansion",
-    "IdentityReport",
-    "check_theorem1",
-    "check_theorem2",
-    "check_theorem4",
-    "check_remark1",
-    "check_collapse",
-    "check_fourier",
-    "fourier_partial",
-    "fourier_closed",
-    "OddGridMatrix",
-    "build_matrix",
-    "check_involution",
-    "trig_sum_check",
-    "log_tan_series",
-    "csc_taylor_check",
-]
+__all__ = [name for module in (exact, special, jfun, identities, linalg) for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -185,8 +185,10 @@ def _fourier(span, tol, seed, deep) -> list[IdentityReport]:
 
 # Each suite maps (range or None, tol, seed, deep) to its reports; --range
 # sets m (or n) for the first five.  lemmas and fourier run fixed points at
-# fixed tolerances, so `verify lemmas|fourier` rejects --tol and --range.
+# fixed tolerances, so `verify lemmas|fourier` rejects --tol and --range;
+# remark1 and collapse are exact, so `verify remark1|collapse` rejects --tol.
 _FIXED_SUITES = ("lemmas", "fourier")
+_EXACT_SUITES = ("remark1", "collapse")
 SUITES: dict[str, Callable[..., list[IdentityReport]]] = {
     "thm1": lambda span, tol, seed, deep: [check_theorem1(m, tol) for m in _m_range(span, 5)],
     "thm2": lambda span, tol, seed, deep: [check_theorem2(m, tol) for m in _m_range(span, 5)],
@@ -271,17 +273,10 @@ _TABLE_FIELDS = ("s", "value", "error_estimate", "method")
 
 
 def _table(fn: str, span: tuple[int, int], digits: int, format: str) -> str:
-    lo, hi = span
     rows = []
-    for s in range(lo, hi + 1):
-        if fn == "lambda":
-            r = lambda_numeric(s, digits)
-        elif fn == "beta":
-            r = beta_numeric(s, digits)
-        else:
-            r = j_quadrature(s, QuadratureConfig(target_abs_tol=10.0 ** (1 - digits)))
-        rows.append((s, r.value, r.error_estimate, r.method))
-
+    for s in range(span[0], span[1] + 1):
+        value, method, err, _ = _compute(fn, s, "auto", digits)
+        rows.append((s, value, err, method))
     if format in ("json", "csv"):
         return _serialize(_TABLE_FIELDS, rows, format)
     lines = [f"{'s':>4}  {'value':<22} {'error':>10}  method"]
@@ -382,6 +377,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             if args.suite in _FIXED_SUITES and (args.tol is not None or args.range is not None):
                 raise ValueError(f"verify {args.suite} has fixed tolerances and points; it takes no --tol or --range")
+            if args.suite in _EXACT_SUITES and args.tol is not None:
+                raise ValueError(f"verify {args.suite} is exact (zero tolerance); it takes no --tol")
             tol = DEFAULT_TOL if args.tol is None else args.tol
             reports = suite_reports(args.suite, args.range, tol, args.seed, args.deep)
             _write_out(emit_report(reports, args.format), args.output)

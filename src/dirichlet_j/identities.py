@@ -111,19 +111,15 @@ def check_theorem1(
     lam = lambda_numeric(2 * m + 1)
     rhs = 0.0
     err = lam.error_estimate
-    for k in range(1, m + 1):
-        lam_even = lambda_even_closed(m - k + 1).evalf()
-        if use_proof_form:
-            j = _j_value(2 * k - 1, j_source)
-            rhs += (-1) ** (k - 1) * lam_even * j.value
-            err += lam_even * j.error_estimate + 4.0 * _EPS * lam_even * abs(j.value)
+    for sign, coeff, e in _closed_form_terms("sine", m):
+        value = coeff.evalf()
+        if use_proof_form or e == 2 * m:  # the statement form keeps J only on the beta(1) term
+            j = _j_value(e, j_source)
+            rhs += sign * value * j.value
+            err += value * j.error_estimate + 4.0 * _EPS * value * abs(j.value)
         else:
-            rhs += (-1) ** (k - 1) * lam_even
-            err += 4.0 * _EPS * lam_even
-    beta1 = beta_odd_closed(1).evalf()
-    j_even = _j_value(2 * m, j_source)
-    rhs += (-1) ** m * beta1 * j_even.value
-    err += beta1 * j_even.error_estimate + 4.0 * _EPS * beta1 * abs(j_even.value)
+            rhs += sign * value
+            err += 4.0 * _EPS * value
     return _numeric_report("thm1", (m,), lam.value, rhs, err, tol)
 
 
@@ -157,6 +153,25 @@ def check_theorem4(n: int, tol: float | None = None) -> tuple[IdentityReport, Id
     return tuple(reports)
 
 
+def _closed_form_terms(kind: Kind, m: int) -> list[tuple[int, PiPoly, int]]:
+    """The closed form on [0, pi/2] of the order-(2m+1) sine or order-2m cosine
+    series, sum sign * coeff * x^e / e!, as (sign, coeff, e) triples:
+    (-1)^{k-1} lambda(2m-2k+2) with e = 2k-1 (sine) or 2k-2 (cosine) for
+    k = 1..m, then (-1)^m beta(1) with e = 2m (sine) or 2m-1 (cosine)."""
+    shift = 1 if kind == "sine" else 2
+    terms = [((-1) ** (k - 1), lambda_even_closed(m - k + 1), 2 * k - shift) for k in range(1, m + 1)]
+    terms.append(((-1) ** m, beta_odd_closed(1), 2 * m + 1 - shift))
+    return terms
+
+
+def _at_half_pi(terms: list[tuple[int, PiPoly, int]]) -> PiPoly:
+    """sum sign * coefficient * (pi/2)^e / e! over closed-form terms, exactly."""
+    acc = PiPoly.zero()
+    for sign, coeff, e in terms:
+        acc = acc + coeff * Fraction(sign, factorial(e)) * half_pi_power(e)
+    return acc
+
+
 def sine_value_poly_at_half_pi(m: int) -> PiPoly:
     """Exact value of the order-(2m+1) sine series closed form at x = pi/2.
 
@@ -164,12 +179,7 @@ def sine_value_poly_at_half_pi(m: int) -> PiPoly:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    acc = PiPoly.zero()
-    for k in range(1, m + 1):
-        e = 2 * k - 1
-        acc = acc + lambda_even_closed(m - k + 1) * Fraction((-1) ** (k - 1), factorial(e)) * half_pi_power(e)
-    acc = acc + beta_odd_closed(1) * Fraction((-1) ** m, factorial(2 * m)) * half_pi_power(2 * m)
-    return acc
+    return _at_half_pi(_closed_form_terms("sine", m))
 
 
 def cosine_value_poly_at_half_pi(m: int) -> PiPoly:
@@ -179,59 +189,39 @@ def cosine_value_poly_at_half_pi(m: int) -> PiPoly:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    acc = PiPoly.zero()
-    for k in range(1, m + 1):
-        e = 2 * k - 2
-        acc = acc + lambda_even_closed(m - k + 1) * Fraction((-1) ** (k - 1), factorial(e)) * half_pi_power(e)
-    acc = acc + beta_odd_closed(1) * Fraction((-1) ** m, factorial(2 * m - 1)) * half_pi_power(2 * m - 1)
-    return acc
+    return _at_half_pi(_closed_form_terms("cosine", m))
 
 
 def check_remark1(m: int) -> tuple[IdentityReport, IdentityReport]:
-    """Both exact closed-form identities for (pi/4)(pi/2)^j/j! at j = 2m-1, 2m."""
+    """Both exact closed-form identities for (pi/4)(pi/2)^j/j! at j = 2m-1, 2m:
+    the cosine and sine closed forms at pi/2, 0 and beta(2m+1), solved for
+    their beta(1) terms."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    beta1 = beta_odd_closed(1)
-
-    lhs_a = beta1 * Fraction(1, factorial(2 * m - 1)) * half_pi_power(2 * m - 1)
-    rhs_a = PiPoly.zero()
-    for k in range(m):
-        rhs_a = rhs_a + lambda_even_closed(m - k) * Fraction((-1) ** k, factorial(2 * k)) * half_pi_power(2 * k)
-    rhs_a = (-1) ** (m - 1) * rhs_a
-
-    lhs_b = beta1 * Fraction(1, factorial(2 * m)) * half_pi_power(2 * m)
-    rhs_b = beta_odd_closed(m + 1)
-    for k in range(m):
-        rhs_b = rhs_b - lambda_even_closed(m - k) * Fraction((-1) ** k, factorial(2 * k + 1)) * half_pi_power(
-            2 * k + 1
-        )
-    rhs_b = (-1) ** m * rhs_b
-
-    return (
-        _exact_report("remark1_a", (m,), lhs_a, rhs_a),
-        _exact_report("remark1_b", (m,), lhs_b, rhs_b),
-    )
+    reports = []
+    cases = (("remark1_a", "cosine", PiPoly.zero()), ("remark1_b", "sine", beta_odd_closed(m + 1)))
+    for identity_id, kind, value in cases:
+        *lambda_terms, (sign, beta1, e) = _closed_form_terms(kind, m)
+        lhs = beta1 * Fraction(1, factorial(e)) * half_pi_power(e)
+        rhs = sign * (value - _at_half_pi(lambda_terms))
+        reports.append(_exact_report(identity_id, (m,), lhs, rhs))
+    return tuple(reports)
 
 
 def check_collapse(m: int) -> list[IdentityReport]:
     """Exact coefficient collapse in the beta(2m) expansion over J(0..2m-1).
 
-    Expanding beta(2m) through the divergent companions W(e) (see
-    `w_expansion`),
-
-      beta(2m) = sum_{k=1..m} (-1)^{k-1} lambda(2m-2k+2) W(2k-2)
-                 + (-1)^m beta(1) W(2m-1),
-
-    the coefficient C_q of J(q) sums each part's coefficient times the
-    coefficient of J(q) in its W(e), over the parts with e >= q.
+    beta(2m) is the order-2m cosine closed form with each x^e/e! replaced by
+    its divergent companion W(e) (see `w_expansion`), so the coefficient C_q
+    of J(q) sums each part's coefficient times the coefficient of J(q) in
+    its W(e), over the parts with e >= q.
 
     Even q: C_q equals the cosine closed-form value at pi/2, i.e. the zero
     polynomial.  Odd q = 2k-1: C_q equals (-1)^{k-1} beta(2m-2k+1).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    parts = [((-1) ** (k - 1) * lambda_even_closed(m - k + 1), w_expansion(2 * k - 2)) for k in range(1, m + 1)]
-    parts.append(((-1) ** m * beta_odd_closed(1), w_expansion(2 * m - 1)))
+    parts = [(sign * coeff, w_expansion(e)) for sign, coeff, e in _closed_form_terms("cosine", m)]
     reports = []
     for q in range(2 * m):
         coeff = PiPoly.zero()
@@ -267,6 +257,8 @@ def _odd_harmonic_sum(kind: Kind, order: int, x: float, terms: int) -> float:
         rows = -(-count // block)
         a0 = 2 * start + 1
         a = np.arange(a0, a0 + 2 * rows * block, 2, dtype=float)
+        if not math.isfinite(float(a[-1]) * x):  # the largest angle, padded cells included
+            raise ValueError("x is too large: the angle (2k-1)x overflows")
         w = a.copy()  # a**order would call pow() per element
         for _ in range(order - 1):
             w *= a
@@ -284,7 +276,9 @@ def _odd_harmonic_sum(kind: Kind, order: int, x: float, terms: int) -> float:
 
 
 def fourier_partial(kind: Kind, order: int, x: float, terms: int) -> float:
-    """Partial sum of sum_k sin((2k-1)x)/(2k-1)^order (or cos in the numerator)."""
+    """Partial sum of sum_k sin((2k-1)x)/(2k-1)^order (or cos in the numerator).
+
+    x is rejected if an angle (2k-1)x of the summation grid overflows."""
     if kind not in ("sine", "cosine"):
         raise ValueError("kind must be 'sine' or 'cosine'")
     if order < 2:
@@ -305,18 +299,9 @@ def fourier_closed(kind: Kind, m: int, x: float) -> float:
         raise ValueError("m must be >= 1")
     if not 0.0 <= x <= math.pi / 2 + 4 * _EPS:
         raise ValueError("x must lie in [0, pi/2]")
-    beta1 = beta_odd_closed(1).evalf()
     acc = 0.0
-    if kind == "sine":
-        for k in range(1, m + 1):
-            lam = lambda_even_closed(m - k + 1).evalf()
-            acc += lam * (-1) ** (k - 1) * x ** (2 * k - 1) / factorial(2 * k - 1)
-        acc += (-1) ** m * beta1 * x ** (2 * m) / factorial(2 * m)
-    else:
-        for k in range(1, m + 1):
-            lam = lambda_even_closed(m - k + 1).evalf()
-            acc += lam * (-1) ** (k - 1) * x ** (2 * k - 2) / factorial(2 * k - 2)
-        acc += (-1) ** m * beta1 * x ** (2 * m - 1) / factorial(2 * m - 1)
+    for sign, coeff, e in _closed_form_terms(kind, m):
+        acc += sign * coeff.evalf() * x ** e / factorial(e)
     return acc
 
 

@@ -93,6 +93,24 @@ class TestCompute:
         assert run(["compute", "J", "3.5"]) == 0
         assert "0.1011261779011461" in capout()
 
+    @pytest.mark.parametrize(
+        "function,arg,available",
+        [
+            ("lambda", "4", {"auto", "closed", "series"}),
+            ("beta", "3", {"auto", "closed", "series"}),
+            ("J", "3", {"auto", "closed", "quadrature", "euler_series", "riemann"}),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["auto", "closed", "series", "quadrature", "euler_series", "riemann"])
+    def test_method_availability(self, function, arg, available, method, capsys):
+        code = run(["compute", function, arg, "--method", method])
+        err = capsys.readouterr().err
+        if method in available:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2
+            assert err == f"usage error: method {method!r} not available for {function}\n"
+
     def test_closed_method_wrong_parity_is_usage_error(self):
         assert run(["compute", "lambda", "3", "--method", "closed"]) == 2
         assert run(["compute", "beta", "2", "--method", "closed"]) == 2
@@ -161,11 +179,17 @@ class TestVerify:
     def test_fourier(self):
         assert run(["verify", "fourier"]) == 0
 
-    @pytest.mark.parametrize("suite", ["lemmas", "fourier"])
+    @pytest.mark.parametrize("suite", ["lemmas", "fourier", "remark1", "collapse"])
     @pytest.mark.parametrize("option", [["--tol", "1e-30"], ["--range", "1..3"]])
     def test_fixed_suites_reject_tol_and_range(self, suite, option, capsys):
+        # lemmas and fourier take neither option; the exact suites take --range only
+        exact = suite in ("remark1", "collapse")
+        if exact and option[0] == "--range":
+            assert run(["verify", suite, *option]) == 0
+            return
         assert run(["verify", suite, *option]) == 2
-        assert f"usage error: verify {suite} has fixed tolerances" in capsys.readouterr().err
+        reason = "is exact (zero tolerance); it takes no --tol" if exact else "has fixed tolerances"
+        assert f"usage error: verify {suite} {reason}" in capsys.readouterr().err
 
     def test_all_applies_tol_and_range_to_the_five(self, capout):
         assert run(["verify", "all", "--range", "2..2", "--tol", "1e-30", "--format", "json"]) == 1

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,17 @@ class TestFourierPartial:
             fourier_partial("sine", 3, math.nan, 10)
         with pytest.raises(ValueError):
             fourier_partial("cosine", 2, math.inf, 10)
+        # (2k-1)x overflows although x is finite
+        with pytest.raises(ValueError):
+            fourier_partial("sine", 3, 1e308, 10)
+        with pytest.raises(ValueError):
+            fourier_partial("cosine", 2, -1e308, 3)
+        # 3 terms fill a 2 x 2 grid: 5x is finite, the padded cell's 7x is not
+        x = sys.float_info.max / 6
+        assert math.isfinite(5 * x) and not math.isfinite(7 * x)
+        with pytest.raises(ValueError):
+            fourier_partial("sine", 3, x, 3)
+        assert math.isfinite(fourier_partial("sine", 3, x, 2))
 
     @pytest.mark.parametrize("kind", ["sine", "cosine"])
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7])
@@ -192,6 +204,19 @@ class TestFourierClosed:
     def test_sine_m1_at_half_pi(self):
         v = fourier_closed("sine", 1, math.pi / 2)
         assert v == pytest.approx(PI_CUBED_OVER_32, rel=1e-14)
+
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_at_half_pi_matches_exact_value(self, m):
+        # each float term carries the rounding of its coefficient, of x**e
+        # (which scales the rounding of pi/2 by e) and of its products, and
+        # each partial sum rounds: a few ulp of the sum of the absolute terms
+        x = math.pi / 2
+        for kind, exact in (("sine", sine_value_poly_at_half_pi(m).evalf()), ("cosine", 0.0)):
+            lambdas = [lambda_even_closed(m - k + 1).evalf() for k in range(1, m + 1)]
+            shift = 1 if kind == "sine" else 2
+            scale = sum(lam * x ** (2 * k - shift) / math.factorial(2 * k - shift) for k, lam in enumerate(lambdas, 1))
+            scale += BETA_1 * x ** (2 * m + 1 - shift) / math.factorial(2 * m + 1 - shift)
+            assert abs(fourier_closed(kind, m, x) - exact) <= 8 * EPS * scale
 
     def test_cosine_m1_at_half_pi_vanishes(self):
         assert fourier_closed("cosine", 1, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
