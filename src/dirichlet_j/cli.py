@@ -7,7 +7,7 @@ Grammar:
   dirichlet-j table <lambda|beta|J> --range a..b [--format F] [-o PATH]
 
 Exit codes: 0 success (verify: all checks passed), 1 failed identity,
-2 usage error, 3 evaluator convergence failure.
+2 usage error or unwritable -o path, 3 evaluator convergence failure.
 The environment variable DIRICHLET_J_DIGITS overrides the default digits (15);
 a value that is not an integer >= 15 is a usage error for every command.
 json and csv output go through the stdlib `json` and `csv` modules; json
@@ -21,6 +21,7 @@ import math
 import os
 import random
 import sys
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .identities import (
@@ -303,7 +304,17 @@ def positive_float(text: str) -> float:
     return value
 
 
+def seed_type(text: str) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError("seed must be an integer") from None
+
+
+@lru_cache(maxsize=None)
 def _build_parser(default_digits: int) -> argparse.ArgumentParser:
+    """The parser for one default digit count; built once and reused, since
+    parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dirichlet-j",
         description="Dirichlet lambda/beta values, the integral J(s), and identity verification.",
@@ -324,7 +335,7 @@ def _build_parser(default_digits: int) -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=[*SUITES, "all"])
     p_verify.add_argument("--range", type=_parse_range, default=None, metavar="a..b")
     p_verify.add_argument("--tol", type=positive_float, default=None, help=f"numeric tolerance (default {DEFAULT_TOL:g})")
-    p_verify.add_argument("--seed", type=lambda t: int(t, 0), default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=seed_type, default=DEFAULT_SEED)
     p_verify.add_argument("--deep", action="store_true", help="full 1e6-term series checks")
     p_verify.add_argument("--format", default="text", choices=["text", "json", "csv"])
     p_verify.add_argument("-o", "--output", default=None)
@@ -345,8 +356,11 @@ def _write_out(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -14,6 +14,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import factorial
 from typing import Iterable, Mapping, Union
 
 Coeff = Union[int, Fraction]
@@ -126,7 +127,10 @@ class PiPoly:
     def __sub__(self, other: "PiPoly") -> "PiPoly":
         if not isinstance(other, PiPoly):
             return NotImplemented
-        return self + (-other)
+        merged = dict(self._terms)
+        for exp, coeff in other._terms.items():
+            merged[exp] = merged[exp] - coeff if exp in merged else -coeff
+        return PiPoly._from_sums(merged)
 
     def __neg__(self) -> "PiPoly":
         return PiPoly._from_sums({e: -c for e, c in self._terms.items()})
@@ -203,6 +207,13 @@ def half_pi_power(exp: int) -> PiPoly:
     if exp < 0:
         raise ValueError("exponent must be >= 0")
     return PiPoly.term(Fraction(1, 2**exp), exp)
+
+
+@lru_cache(maxsize=None)
+def _half_pi_term(j: int) -> PiPoly:
+    """(pi/2)^j / j! as an exact PiPoly, built once per j: the one table of
+    these factors behind the closed forms, W(e) and the remark1 checks."""
+    return PiPoly.term(Fraction(1, 2**j * factorial(j)), j)
 
 
 _up_down: list[int] = [1]  # A_0, A_1, ...

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Literal, Union
 
-from .exact import PiPoly, half_pi_power
+from .exact import PiPoly, _half_pi_term
 from .jfun import j_euler_series, j_quadrature, j_closed_even, j_closed_odd, w_expansion, QuadratureConfig
 from .special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
@@ -168,7 +167,8 @@ def _at_half_pi(terms: list[tuple[int, PiPoly, int]]) -> PiPoly:
     """sum sign * coefficient * (pi/2)^e / e! over closed-form terms, exactly."""
     acc = PiPoly.zero()
     for sign, coeff, e in terms:
-        acc = acc + coeff * Fraction(sign, factorial(e)) * half_pi_power(e)
+        term = coeff * _half_pi_term(e)
+        acc = acc + term if sign > 0 else acc - term
     return acc
 
 
@@ -202,8 +202,9 @@ def check_remark1(m: int) -> tuple[IdentityReport, IdentityReport]:
     cases = (("remark1_a", "cosine", PiPoly.zero()), ("remark1_b", "sine", beta_odd_closed(m + 1)))
     for identity_id, kind, value in cases:
         *lambda_terms, (sign, beta1, e) = _closed_form_terms(kind, m)
-        lhs = beta1 * Fraction(1, factorial(e)) * half_pi_power(e)
-        rhs = sign * (value - _at_half_pi(lambda_terms))
+        lhs = beta1 * _half_pi_term(e)
+        lambda_sum = _at_half_pi(lambda_terms)
+        rhs = value - lambda_sum if sign > 0 else lambda_sum - value
         reports.append(_exact_report(identity_id, (m,), lhs, rhs))
     return tuple(reports)
 
@@ -221,13 +222,14 @@ def check_collapse(m: int) -> list[IdentityReport]:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    parts = [(sign * coeff, w_expansion(e)) for sign, coeff, e in _closed_form_terms("cosine", m)]
+    parts = [(sign, coeff, w_expansion(e)) for sign, coeff, e in _closed_form_terms("cosine", m)]
     reports = []
     for q in range(2 * m):
         coeff = PiPoly.zero()
-        for c, w in parts:
+        for sign, c, w in parts:
             if q <= w.order:
-                coeff = coeff + c * w.coefficients[q]
+                term = c * w.coefficients[q]
+                coeff = coeff + term if sign > 0 else coeff - term
         k = (q + 1) // 2
         expected = PiPoly.zero() if q % 2 == 0 else (-1) ** (k - 1) * beta_odd_closed(m - k + 1)
         reports.append(_exact_report("collapse", (m, q), coeff, expected))

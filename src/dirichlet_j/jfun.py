@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact import PiPoly, euler_numbers, half_pi_power
+from .exact import PiPoly, _half_pi_term, euler_numbers
 from .special import EvalResult, beta_numeric, lambda_numeric
 
 __all__ = [
@@ -272,7 +271,7 @@ def j_riemann_sum(s: float, n: int) -> float:
 def _half_pi_factor(j: int, digits: int) -> float:
     """(pi/2)^j / j!, evaluated exactly at `digits` (>= 15) and rounded once;
     a constant of the closed forms, shared by every argument."""
-    return PiPoly.term(Fraction(1, 2**j * factorial(j)), j).evalf(digits)
+    return _half_pi_term(j).evalf(digits)
 
 
 def j_closed_odd(n: int, digits: int = 15) -> EvalResult:
@@ -330,10 +329,9 @@ class WExpansion:
     coefficients: tuple[PiPoly, ...] = field(default_factory=tuple)
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: see special.lambda_even_closed
 def w_expansion(m: int) -> WExpansion:
     if m < 0:
         raise ValueError("m must be >= 0")
-    coeffs = tuple(
-        (-1) ** k * Fraction(1, factorial(m - k)) * half_pi_power(m - k) for k in range(m + 1)
-    )
+    coeffs = tuple(-_half_pi_term(m - k) if k % 2 else _half_pi_term(m - k) for k in range(m + 1))
     return WExpansion(order=m, coefficients=coeffs)

@@ -49,6 +49,10 @@ class EvalResult:
             raise ValueError("work must be > 0 for non-closed-form methods")
 
 
+# The closed forms are immutable PiPolys, built once per m.  The caches are
+# typed: an argument that fails the checks, such as 1.0 (TypeError), never
+# matches the entry of an equal argument that passed them, such as True.
+@lru_cache(maxsize=None, typed=True)
 def lambda_even_closed(m: int) -> PiPoly:
     """lambda(2m) = A_{2m-1} pi^{2m} / (2^{2m+1} (2m-1)!) as an exact pi-polynomial,
     A_{2m-1} being a tangent number read from the up/down table."""
@@ -58,6 +62,7 @@ def lambda_even_closed(m: int) -> PiPoly:
     return PiPoly.term(coeff, 2 * m)
 
 
+@lru_cache(maxsize=None, typed=True)
 def beta_odd_closed(m: int) -> PiPoly:
     """beta(2m-1) = A_{2m-2} (pi/2)^{2m-1} / (2 (2m-2)!) as an exact pi-polynomial,
     A_{2m-2} being a secant number read from the up/down table."""

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -148,6 +149,19 @@ class TestCompute:
         assert run(["compute", "beta", "2"]) == 0
         assert "0.915965594177219" in capout()
 
+    def test_env_var_read_on_every_run(self, capout, monkeypatch):
+        expected = {}
+        for digits in ("15", "20"):
+            assert run(["compute", "beta", "2", "--digits", digits]) == 0
+            expected[digits] = capout()
+        assert expected["15"] != expected["20"]
+        monkeypatch.setenv("DIRICHLET_J_DIGITS", "20")
+        assert run(["compute", "beta", "2"]) == 0
+        assert capout() == expected["20"]
+        monkeypatch.delenv("DIRICHLET_J_DIGITS")
+        assert run(["compute", "beta", "2"]) == 0
+        assert capout() == expected["15"]
+
     def test_env_var_invalid(self, monkeypatch, capsys):
         for value in ("many", "10"):
             monkeypatch.setenv("DIRICHLET_J_DIGITS", value)
@@ -156,7 +170,37 @@ class TestCompute:
                 assert f"invalid DIRICHLET_J_DIGITS='{value}'" in capsys.readouterr().err
 
 
+# sha256 of the stdout of these commands before the exact constants were
+# memoised; building them once per process must not change a byte
+PINNED_SHA256 = {
+    ("verify", "remark1", "--range", "1..60", "--format", "json"): (
+        "f3123f9c7cf3b1e1c616db410e7a79eaf45c23a2d597fcb88d5ac9065b3d3e5d"
+    ),
+    ("verify", "collapse", "--range", "1..24", "--format", "csv"): (
+        "8c550246920b213c90cb437ca617cdb7f99e37d59d0ca6a054324b5ae795b7f2"
+    ),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("argv", PINNED_SHA256)
+    def test_wide_exact_outputs_pinned(self, argv, capout):
+        assert run(list(argv)) == 0
+        assert hashlib.sha256(capout().encode()).hexdigest() == PINNED_SHA256[argv]
+
+    @pytest.mark.parametrize("argv", [["verify", "remark1", "--range", "1..2"], ["table", "beta", "--range", "1..2"]])
+    def test_unwritable_output_is_exit_two(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt"
+        assert run(argv + ["-o", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: cannot write {str(path)!r}: No such file or directory\n"
+
+    def test_bad_seed_message(self, capsys):
+        assert run(["verify", "thm1", "--seed", "zz"]) == 2
+        assert "argument --seed: seed must be an integer\n" in capsys.readouterr().err
+        assert run(["verify", "lemmas", "--seed", "0x10"]) == 0  # prefixed ints still parse
+
     def test_thm2_range_passes(self, capout):
         assert run(["verify", "thm2", "--range", "1..4", "--tol", "1e-10"]) == 0
         out = capout()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dirichlet_j.exact import PiPoly
+from dirichlet_j.exact import PiPoly, _half_pi_term
 from dirichlet_j.identities import (
     check_collapse,
     check_fourier,
@@ -17,6 +17,7 @@ from dirichlet_j.identities import (
     fourier_partial,
     sine_value_poly_at_half_pi,
 )
+from dirichlet_j.jfun import w_expansion
 from dirichlet_j.special import beta_odd_closed, lambda_even_closed
 
 PI_CUBED_OVER_32 = 0.96894614625936938  # beta(3); mpmath mp.dps=30
@@ -132,6 +133,35 @@ class TestCollapse:
         assert reports[(3, 5)].lhs == beta_odd_closed(1)
         assert reports[(3, 3)].lhs == -1 * beta_odd_closed(2)
         assert reports[(3, 1)].lhs == beta_odd_closed(3)
+
+
+class TestExactConstantCaches:
+    CACHES = (_half_pi_term, lambda_even_closed, beta_odd_closed, w_expansion)
+
+    def _cold_reports(self, order):
+        for cache in self.CACHES:
+            cache.cache_clear()
+        collapse = {m: check_collapse(m) for m in sorted(range(1, 25), reverse=order == "descending")}
+        remark1 = {m: check_remark1(m) for m in sorted(range(1, 61), reverse=order == "descending")}
+        return collapse, remark1
+
+    def test_reports_independent_of_cache_order(self):
+        assert self._cold_reports("descending") == self._cold_reports("ascending")
+
+    def test_no_pipoly_term_once_warm(self, monkeypatch):
+        check_collapse(12)
+        check_remark1(30)
+        calls = []
+        term = PiPoly.term.__func__
+
+        def counting_term(cls, coeff, exp):
+            calls.append(exp)
+            return term(cls, coeff, exp)
+
+        monkeypatch.setattr(PiPoly, "term", classmethod(counting_term))
+        reports = [*check_collapse(12), *check_remark1(30)]
+        assert calls == []
+        assert all(r.passed for r in reports)
 
 
 class TestFourierPartial:

@@ -368,3 +368,10 @@ class TestWExpansion:
     def test_validation(self):
         with pytest.raises(ValueError):
             w_expansion(-1)
+
+    def test_warm_cache_keeps_argument_checks(self):
+        # an untyped cache would answer w_expansion(1.0) from the entry of True
+        assert w_expansion(2) is w_expansion(2) and w_expansion(True) == w_expansion(1)
+        for bad in (2.0, 1.0):
+            with pytest.raises(TypeError):
+                w_expansion(bad)

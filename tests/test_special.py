@@ -82,6 +82,16 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             beta_odd_closed(0)
 
+    @pytest.mark.parametrize("closed", [lambda_even_closed, beta_odd_closed])
+    def test_warm_cache_keeps_argument_checks(self, closed):
+        # an untyped cache would answer closed(1.0) from the entry of True
+        assert closed(2) is closed(2) and closed(True) == closed(1)
+        for bad in (2.0, 1.0):
+            with pytest.raises(TypeError):
+                closed(bad)
+        with pytest.raises(ValueError):
+            closed(0)
+
 
 class TestLambdaNumeric:
     def test_at_two(self):
