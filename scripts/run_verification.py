@@ -11,14 +11,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from dirichlet_j.cli import DEFAULT_SEED, THM1_NOTE, emit_report, suite_reports
+from dirichlet_j.cli import DEFAULT_SEED, THM1_NOTE, emit_report, seed_type, suite_reports
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path(__file__).parent)
     parser.add_argument("--deep", action="store_true", help="1e6-term series checks")
-    parser.add_argument("--seed", type=lambda t: int(t, 0), default=DEFAULT_SEED)
+    parser.add_argument("--seed", type=seed_type, default=DEFAULT_SEED)
     args = parser.parse_args()
 
     reports = suite_reports("all", seed=args.seed, deep=args.deep)

@@ -36,7 +36,6 @@ from .identities import (
 )
 from .jfun import (
     ConvergenceError,
-    QuadratureConfig,
     j_closed_even,
     j_closed_odd,
     j_euler_series,
@@ -222,9 +221,7 @@ def suite_reports(
 
 
 def _parse_arg(text: str) -> float | int:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError("argument must be a finite number")
+    value = _checked(text, float, math.isfinite, "argument must be a finite number")
     return int(value) if value.is_integer() else value
 
 
@@ -251,23 +248,20 @@ def _compute(fn: str, s: float | int, method: str, digits: int) -> tuple[float, 
         raise ValueError(f"method {method!r} not available for beta")
 
     # J
-    if method in ("auto", "quadrature"):
-        r = j_quadrature(s, QuadratureConfig(target_abs_tol=10.0 ** (1 - digits)))
-        return r.value, r.method, r.error_estimate, r.work
-    if method == "euler_series":
-        if not isinstance(s, int) or s < 1:
-            raise ValueError("euler_series method needs an integer argument >= 1")
-        r = j_euler_series(s, abs_tol=10.0 ** (1 - digits))
-        return r.value, r.method, r.error_estimate, r.work
-    if method == "closed":
-        if not isinstance(s, int) or s < 1:
-            raise ValueError("closed method needs an integer argument >= 1")
-        r = j_closed_odd((s + 1) // 2, digits) if s % 2 else j_closed_even(s // 2, digits)
-        return r.value, r.method, r.error_estimate, r.work
     if method == "riemann":
         n = 10**4
         return j_riemann_sum(s, n), "riemann_sum", None, n
-    raise ValueError(f"method {method!r} not available for J")
+    if method in ("euler_series", "closed") and (not isinstance(s, int) or s < 1):
+        raise ValueError(f"{method} method needs an integer argument >= 1")
+    if method in ("auto", "quadrature"):
+        r = j_quadrature(s, digits)
+    elif method == "euler_series":
+        r = j_euler_series(s, digits)
+    elif method == "closed":
+        r = j_closed_odd((s + 1) // 2, digits) if s % 2 else j_closed_even(s // 2, digits)
+    else:
+        raise ValueError(f"method {method!r} not available for J")
+    return r.value, r.method, r.error_estimate, r.work
 
 
 _TABLE_FIELDS = ("s", "value", "error_estimate", "method")
@@ -290,25 +284,28 @@ def _table(fn: str, span: tuple[int, int], digits: int, format: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def digits_type(text: str) -> int:
-    value = int(text)
-    if value < 15:
-        raise argparse.ArgumentTypeError("digits must be >= 15")
+def _checked(text: str, convert: Callable, ok: Callable, message: str):
+    """convert(text) if that parses and passes `ok`, else argparse's error
+    `message` (a ValueError would make argparse name the function instead)."""
+    try:
+        value = convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if not ok(value):
+        raise argparse.ArgumentTypeError(message)
     return value
+
+
+def digits_type(text: str) -> int:
+    return _checked(text, int, lambda v: v >= 15, "digits must be an integer >= 15")
 
 
 def positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("tol must be a finite number > 0")
-    return value
+    return _checked(text, float, lambda v: 0 < v < math.inf, "tol must be a finite number > 0")
 
 
 def seed_type(text: str) -> int:
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError("seed must be an integer") from None
+    return _checked(text, lambda t: int(t, 0), lambda v: True, "seed must be an integer")
 
 
 @lru_cache(maxsize=None)
@@ -367,7 +364,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     env_digits = os.environ.get("DIRICHLET_J_DIGITS")
     try:
         default_digits = digits_type(env_digits) if env_digits else DEFAULT_DIGITS
-    except (ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError:
         sys.stderr.write(f"invalid DIRICHLET_J_DIGITS={env_digits!r}\n")
         return 2
     parser = _build_parser(default_digits)

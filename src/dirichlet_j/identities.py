@@ -27,7 +27,7 @@ from math import factorial
 from typing import Literal, Union
 
 from .exact import PiPoly, _half_pi_term
-from .jfun import j_euler_series, j_quadrature, j_closed_even, j_closed_odd, w_expansion, QuadratureConfig
+from .jfun import j_euler_series, j_quadrature, j_closed_even, j_closed_odd, w_expansion
 from .special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
 __all__ = [
@@ -88,8 +88,8 @@ def _numeric_report(
 
 def _j_value(q: int, source: JSource):
     if source == "euler_series":
-        return j_euler_series(q, abs_tol=1e-13)
-    return j_quadrature(q, QuadratureConfig(target_abs_tol=1e-13))
+        return j_euler_series(q, 14)
+    return j_quadrature(q)
 
 
 def check_theorem1(
@@ -146,7 +146,7 @@ def check_theorem4(n: int, tol: float | None = None) -> tuple[IdentityReport, Id
         ("thm4_odd", 2 * n - 1, j_closed_odd(n)),
         ("thm4_even", 2 * n, j_closed_even(n)),
     ):
-        quad = j_quadrature(q, QuadratureConfig(target_abs_tol=1e-13))
+        quad = j_quadrature(q)
         err = quad.error_estimate + closed.error_estimate
         reports.append(_numeric_report(identity_id, (n,), quad.value, closed.value, err, tol))
     return tuple(reports)

@@ -27,7 +27,6 @@ from .exact import PiPoly, _half_pi_term, euler_numbers
 from .special import EvalResult, beta_numeric, lambda_numeric
 
 __all__ = [
-    "QuadratureConfig",
     "ConvergenceError",
     "WExpansion",
     "j_quadrature",
@@ -41,29 +40,36 @@ __all__ = [
 _EPS = math.ulp(1.0)
 _HALF_PI = math.pi / 2.0
 _HALF_PI_REL_ERR = 3.9e-17  # |_HALF_PI - pi/2| / (pi/2) = 3.898e-17
+_OVERFLOW = "Gamma({} + 1) overflows a double: J(s) requires s <= 170.62"
 
 
 class ConvergenceError(RuntimeError):
     """Raised when an evaluator cannot meet its tolerance within its caps."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    target_abs_tol: float = 1e-13
-    max_level: int = 12
+def _abs_target(digits: int) -> float:
+    """The absolute stopping target 10^(1 - digits) of the J routes."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    target = 10.0 ** -(digits - 1)
+    if target == 0.0:
+        raise ValueError(f"digits={digits} is too large: the target 10^(1 - digits) underflows to 0")
+    return target
 
-    def __post_init__(self):
-        if self.target_abs_tol <= 0:
-            raise ValueError("target_abs_tol must be > 0")
-        if not 1 <= self.max_level <= 20:
-            raise ValueError("max_level must be in 1..20")
+
+def _check_domain(s: float) -> None:
+    """Rejects s outside 0 < s < 171 before any work; `_gamma_s_plus_1` rejects 170.62 < s < 171."""
+    if not 0 < s < math.inf:
+        raise ValueError("J(s) requires finite s > 0")
+    if s >= 171:
+        raise ValueError(_OVERFLOW.format(s))
 
 
 def _gamma_s_plus_1(s: float) -> float:
     try:
         return float(factorial(int(s))) if float(s).is_integer() else math.gamma(s + 1.0)
     except OverflowError:
-        raise ValueError(f"Gamma({s} + 1) overflows a double: J(s) requires s <= 170.62") from None
+        raise ValueError(_OVERFLOW.format(s)) from None
 
 
 def _integrand(x, s: float):
@@ -84,6 +90,7 @@ def _integrand(x, s: float):
 # a sum at any s costs one exp and one multiply per node, added by math.fsum.
 
 _T_MAX = 6.2  # beyond this the node weight underflows to 0
+_MAX_LEVEL = 12
 _node_cache: dict[int, tuple[tuple[float, float], ...]] = {}
 _node_lock = threading.Lock()
 
@@ -122,20 +129,20 @@ def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
         return _node_cache.setdefault(level, built)
 
 
-def j_quadrature(s: float, cfg: QuadratureConfig = QuadratureConfig()) -> EvalResult:
+def j_quadrature(s: float, digits: int = 14) -> EvalResult:
     """J(s) for real s > 0 by level-doubling tanh-sinh quadrature.
 
-    Stops when two successive refinement levels agree to within
-    cfg.target_abs_tol / 2 (measured on J itself); raises
-    :class:`ConvergenceError` if cfg.max_level is exhausted first.
+    Stops when two successive refinement levels agree to within half the
+    absolute target 10^(1 - digits) (measured on J itself); raises
+    :class:`ConvergenceError` if level _MAX_LEVEL is passed first.
     """
-    if not 0 < s < math.inf:
-        raise ValueError("J(s) requires finite s > 0")
+    _check_domain(s)
+    tol = _abs_target(digits)
     prefactor = 2.0 / math.pi / _gamma_s_plus_1(s)
     total = 0.0
     value = 0.0
     work = 0
-    for level in range(cfg.max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         nodes = _level_nodes(level)
         part = math.fsum(c * math.exp(s * log_x) for log_x, c in nodes)
         work += len(nodes)
@@ -144,14 +151,11 @@ def j_quadrature(s: float, cfg: QuadratureConfig = QuadratureConfig()) -> EvalRe
         new_value = total * prefactor
         if level > 0:
             diff = abs(new_value - value)
-            if diff <= cfg.target_abs_tol / 2.0:
+            if diff <= tol / 2.0:
                 err = max(diff, 4.0 * _EPS * abs(new_value))
                 return EvalResult(new_value, err, "quadrature", work)
         value = new_value
-    raise ConvergenceError(
-        f"tanh-sinh quadrature did not reach tol={cfg.target_abs_tol:g} "
-        f"for s={s} within max_level={cfg.max_level}"
-    )
+    raise ConvergenceError(f"tanh-sinh quadrature did not reach tol={tol:g} for s={s} within max_level={_MAX_LEVEL}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +172,7 @@ def j_quadrature(s: float, cfg: QuadratureConfig = QuadratureConfig()) -> EvalRe
 # difference  sum_{k>K} b_k (1 - beta(2k+1)) <= (9/8) b_{K+1} 3^-(2K+3),
 # which shrinks below any practical tolerance within a few dozen terms.
 
-_EULER_MAX_INDEX_DEFAULT = 4000
+_EULER_MAX_INDEX = 4000
 
 
 def _over_factorial(x: float, m: int) -> float:
@@ -196,22 +200,20 @@ def _envelope_total(n: int) -> float:
         i += 1
 
 
-def j_euler_series(
-    n: int, abs_tol: float = 1e-12, max_index: int = _EULER_MAX_INDEX_DEFAULT
-) -> EvalResult:
+def j_euler_series(n: int, digits: int = 13) -> EvalResult:
     """J(n) for integer n >= 1 from the Euler-number series.
 
     Terms are summed exactly as stated until the analytic bound on the
-    residual left after tail completion drops below abs_tol/2; the
-    closed-form envelope remainder is then added.
+    residual left after tail completion drops below half the absolute target
+    10^(1 - digits); the closed-form envelope remainder is then added.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if abs_tol <= 0:
-        raise ValueError("abs_tol must be > 0")
+    _check_domain(n)
+    tol = _abs_target(digits)
 
     scale = 4.0 * _HALF_PI**n / math.pi
-    envelope_total = scale * _envelope_total(n)  # raises where n! overflows
+    envelope_total = scale * _envelope_total(n)
     # envelope b_k = scale * (2k)!/(n+2k+1)!, kept alongside the true terms
     b = _over_factorial(scale, n + 1)
     t = _over_factorial(_HALF_PI**n, n + 1)
@@ -224,13 +226,11 @@ def j_euler_series(
         envelope_head += b
         b_next = b * (2 * k + 1) * (2 * k + 2) / ((n + 2 * k + 2) * (n + 2 * k + 3))
         residual = 1.125 * b_next * 3.0 ** (-(2 * k + 3))
-        if residual <= abs_tol / 2.0:
+        if residual <= tol / 2.0:
             break
         k += 1
-        if 2 * k > max_index:
-            raise ConvergenceError(
-                f"abs_tol={abs_tol:g} needs Euler numbers beyond index {max_index}"
-            )
+        if 2 * k > _EULER_MAX_INDEX:
+            raise ConvergenceError(f"tol={tol:g} needs Euler numbers beyond index {_EULER_MAX_INDEX}")
         if k >= len(e):
             e = euler_numbers(2 * len(e))
         # |E_{2k}| / |E_{2k-2}|; int true division rounds correctly
@@ -257,14 +257,14 @@ def j_riemann_sum(s: float, n: int) -> float:
 
     Diagnostic only; no error estimate is claimed.
     """
-    if not 0 < s < math.inf:
-        raise ValueError("J(s) requires finite s > 0")
+    _check_domain(s)
     if n < 1:
         raise ValueError("n must be >= 1")
+    gamma = _gamma_s_plus_1(s)
     import numpy as np
     p = np.arange(1, n + 1, dtype=float)
     x = (2.0 * p - 1.0) * math.pi / (4.0 * n)
-    return float(np.sum(_integrand(x, s))) / (_gamma_s_plus_1(s) * n)
+    return float(np.sum(_integrand(x, s))) / (gamma * n)
 
 
 @lru_cache(maxsize=1024)
@@ -280,6 +280,7 @@ def j_closed_odd(n: int, digits: int = 15) -> EvalResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_domain(2 * n - 1)
     acc = 0.0
     err = 0.0
     work = 0
@@ -301,6 +302,7 @@ def j_closed_even(n: int, digits: int = 15) -> EvalResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_domain(2 * n)
     lam = lambda_numeric(2 * n + 1, digits)
     acc = lam.value
     err = lam.error_estimate

@@ -17,7 +17,6 @@ from dirichlet_j.identities import (
     check_theorem2,
 )
 from dirichlet_j.jfun import (
-    QuadratureConfig,
     j_closed_even,
     j_closed_odd,
     j_euler_series,
@@ -66,8 +65,8 @@ def test_criterion_3_j_cross_method():
     start = time.perf_counter()
     worst = 0.0
     for n in range(1, 9):
-        quad = j_quadrature(n, QuadratureConfig(target_abs_tol=1e-13)).value
-        series = j_euler_series(n, abs_tol=1e-13).value
+        quad = j_quadrature(n, 14).value
+        series = j_euler_series(n, 14).value
         closed = (j_closed_odd((n + 1) // 2) if n % 2 else j_closed_even(n // 2)).value
         worst = max(
             worst, abs(quad - series), abs(quad - closed), abs(series - closed)
@@ -166,7 +165,7 @@ def test_criterion_10_riemann_convergence():
     ok = True
     finals = {}
     for s in (1, 2, 3.5):
-        ref = j_quadrature(s, QuadratureConfig(target_abs_tol=1e-13)).value
+        ref = j_quadrature(s, 14).value
         errs = [abs(j_riemann_sum(s, n) - ref) for n in (100, 200, 400, 800)]
         ok &= all(b < a for a, b in zip(errs, errs[1:]))
         ok &= errs[-1] < 1e-5

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -128,13 +129,47 @@ class TestCompute:
             (["compute", "J", "171.5"], "s <= 170.62"),
             (["table", "J", "--range", "165..172"], "s <= 170.62"),
             (["compute", "J", "171", "--method", "euler_series"], "s <= 170.62"),
+            (["compute", "J", "171", "--method", "closed"], "s <= 170.62"),
+            (["compute", "J", "2000", "--method", "euler_series"], "s <= 170.62"),
+            (["compute", "J", "1000000"], "s <= 170.62"),
+            (["compute", "J", "1000000", "--method", "riemann"], "s <= 170.62"),
         ],
-        ids=["beta-nan", "lambda-inf", "J-200", "J-171.5", "table-J-165..172", "J-171-euler_series"],
+        ids=[
+            "beta-nan",
+            "lambda-inf",
+            "J-200",
+            "J-171.5",
+            "table-J-165..172",
+            "J-171-euler_series",
+            "J-171-closed",
+            "J-2000-euler_series",
+            "J-1000000",
+            "J-1000000-riemann",
+        ],
     )
     def test_argument_outside_domain_is_usage_error(self, argv, domain, capsys):
+        # rejected before any work: J 1000000 once built 1000000! first (11 s)
+        start = time.perf_counter()
         assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert domain in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "J", "1", "--digits", "325"],
+            ["compute", "J", "3", "--method", "euler_series", "--digits", "400"],
+            ["table", "J", "--range", "1..3", "--digits", "325"],
+        ],
+        ids=["quadrature", "euler_series", "table"],
+    )
+    def test_target_underflow_is_usage_error(self, argv, capsys):
+        # 10^(1 - digits) is 0.0 from digits = 325
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: digits={argv[-1]} is too large: the target 10^(1 - digits) underflows to 0\n"
 
     def test_convergence_failure_exit_code(self):
         # s this close to 0 makes the value huge and the absolute target
@@ -404,19 +439,42 @@ class TestEmitReport:
             emit_report([], "xml")
 
 
-@pytest.mark.parametrize("extra", [[], ["--deep"]], ids=["default", "deep"])
-def test_run_verification_script(tmp_path, extra):
+def _run_script(*args):
     src = os.path.dirname(os.path.dirname(dirichlet_j.__file__))
     script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "run_verification.py")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, script, "--outdir", str(tmp_path), *extra],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    return subprocess.run([sys.executable, script, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("extra", [[], ["--deep"]], ids=["default", "deep"])
+def test_run_verification_script(tmp_path, extra):
+    proc = _run_script("--outdir", str(tmp_path), *extra)
     assert proc.returncode == 0, proc.stderr
     _strict_json((tmp_path / "verification_report.json").read_text())
     header = (tmp_path / "verification_report.csv").read_text().splitlines()[0]
     assert header == "identity_id,params,lhs,rhs,abs_diff,exact,pass"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "thm1", "--tol", "abc"], "argument --tol: tol must be a finite number > 0"),
+        (["compute", "J", "1", "--digits", "abc"], "argument --digits: digits must be an integer >= 15"),
+        (["table", "J", "--range", "1..2", "--digits", "abc"], "argument --digits: digits must be an integer >= 15"),
+        (["compute", "J", "abc"], "argument arg: argument must be a finite number"),
+        (["verify", "thm1", "--seed", "zz"], "argument --seed: seed must be an integer"),
+        (["run_verification.py", "--seed", "zz"], "argument --seed: seed must be an integer"),
+    ],
+    ids=["tol", "compute-digits", "table-digits", "arg", "seed", "script-seed"],
+)
+def test_unparsable_value_message_names_the_option(argv, message, tmp_path, capsys):
+    # argparse names the type function ("invalid positive_float value") when
+    # it raises ValueError; each type raises its own message instead
+    if argv[0] == "run_verification.py":
+        proc = _run_script("--outdir", str(tmp_path), *argv[1:])
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = run(argv), capsys.readouterr().err
+    assert code == 2
+    assert err.endswith(f": error: {message}\n")
+    assert "invalid" not in err

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import threading
@@ -7,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dirichlet_j import jfun
 from dirichlet_j.exact import PiPoly, bernoulli_numbers, euler_numbers
 from dirichlet_j.jfun import (
     ConvergenceError,
-    QuadratureConfig,
     _integrand,
     _level_nodes,
     j_closed_even,
@@ -40,7 +41,7 @@ J_REF = {
 class TestQuadrature:
     @pytest.mark.parametrize("s,ref", sorted(J_REF.items()))
     def test_reference_values(self, s, ref):
-        r = j_quadrature(s, QuadratureConfig(target_abs_tol=1e-13))
+        r = j_quadrature(s, 14)
         assert abs(r.value - ref) <= 1e-13
         assert r.error_estimate <= 1e-13 / 2 + 4 * math.ulp(abs(r.value))
         assert r.work > 0 and r.method == "quadrature"
@@ -68,9 +69,10 @@ class TestQuadrature:
         with pytest.raises(ConvergenceError):
             j_quadrature(s)
 
-    def test_convergence_failure_reported(self):
+    def test_convergence_failure_reported(self, monkeypatch):
+        monkeypatch.setattr(jfun, "_MAX_LEVEL", 2)
         with pytest.raises(ConvergenceError):
-            j_quadrature(1.0, QuadratureConfig(target_abs_tol=1e-18, max_level=2))
+            j_quadrature(1.0, 19)
 
     def test_integrand_limits(self):
         # x^s/sin(x) -> 1 at the origin for s=1, -> 0 for s>1
@@ -81,7 +83,7 @@ class TestQuadrature:
     def test_level_sums_match_numpy_reference(self, s):
         # every cached level, summed as j_quadrature sums it, against
         # w @ (x^s / sin x) over nodes rebuilt here from the tanh-sinh map
-        for level in range(QuadratureConfig().max_level + 1):
+        for level in range(jfun._MAX_LEVEL + 1):
             x, w = _reference_level(level)
             ref = float(w @ (x**s / np.sin(x)))
             part = math.fsum(c * math.exp(s * log_x) for log_x, c in _level_nodes(level))
@@ -130,14 +132,14 @@ class TestEulerSeries:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_quadrature_tightly(self, n):
-        series = j_euler_series(n, abs_tol=1e-12)
-        quad = j_quadrature(n, QuadratureConfig(target_abs_tol=1e-13))
+        series = j_euler_series(n, 13)
+        quad = j_quadrature(n, 14)
         assert abs(series.value - quad.value) <= 2e-12
         assert abs(series.value - quad.value) <= series.error_estimate + quad.error_estimate
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_reference_values(self, n):
-        r = j_euler_series(n, abs_tol=1e-12)
+        r = j_euler_series(n, 13)
         assert abs(r.value - J_REF[n]) <= r.error_estimate
 
     def test_terms_all_positive(self):
@@ -163,22 +165,24 @@ class TestEulerSeries:
                 )
                 assert t <= bound * (1 + 1e-12)
 
-    def test_table_cap(self):
-        r = j_euler_series(1, abs_tol=1e-12, max_index=40)
+    def test_table_cap(self, monkeypatch):
+        monkeypatch.setattr(jfun, "_EULER_MAX_INDEX", 40)
+        r = j_euler_series(1, 13)
         assert 2 * (r.work - 1) <= 40
         with pytest.raises(ConvergenceError, match="beyond index 40"):
-            j_euler_series(1, abs_tol=1e-30, max_index=40)
+            j_euler_series(1, 31)
 
-    def test_tolerance_unreachable_within_cap(self):
+    def test_tolerance_unreachable_within_cap(self, monkeypatch):
+        monkeypatch.setattr(jfun, "_EULER_MAX_INDEX", 10)
         with pytest.raises(ConvergenceError):
-            j_euler_series(1, abs_tol=1e-30, max_index=10)
+            j_euler_series(1, 31)
 
     def test_thread_safety_of_euler_table(self):
         import dirichlet_j.exact as ex
 
         def work(start):
             start.wait(timeout=60)
-            return j_euler_series(2, 1e-13), tuple(bernoulli_numbers(40))
+            return j_euler_series(2, 14), tuple(bernoulli_numbers(40))
 
         expected = work(threading.Barrier(1))
         interval = sys.getswitchinterval()
@@ -199,18 +203,21 @@ class TestEulerSeries:
         with pytest.raises(ValueError):
             j_euler_series(0)
         with pytest.raises(ValueError):
-            j_euler_series(1, abs_tol=0.0)
+            j_euler_series(1, 0)
         with pytest.raises(ValueError, match="overflows a double"):
             j_euler_series(171)
+        # (pi/2)^n overflows from n = 1572; the domain check comes first
+        with pytest.raises(ValueError, match="overflows a double"):
+            j_euler_series(2000)
 
     @pytest.mark.parametrize("n", range(1, 171))
     def test_within_estimate_against_mpmath(self, n):
-        # abs_tol=1e-300 leaves only rounding in the estimate, the drift of
-        # float pi/2 raised to the n included
+        # digits=301 (a 1e-300 target) leaves only rounding in the estimate,
+        # the drift of float pi/2 raised to the n included
         ref = _mpmath_j(n)
-        for abs_tol in (1e-12, 1e-300):
-            r = j_euler_series(n, abs_tol=abs_tol)
-            assert abs(r.value - ref) <= r.error_estimate, (abs_tol, r, ref)
+        for digits in (13, 301):
+            r = j_euler_series(n, digits)
+            assert abs(r.value - ref) <= r.error_estimate, (digits, r, ref)
 
 
 def _mpmath_j(n):
@@ -233,7 +240,7 @@ class TestRiemannSum:
 
     @pytest.mark.parametrize("s", [1, 2, 3.5])
     def test_monotone_convergence(self, s):
-        ref = j_quadrature(s, QuadratureConfig(target_abs_tol=1e-13)).value
+        ref = j_quadrature(s, 14).value
         errs = [abs(j_riemann_sum(s, n) - ref) for n in (100, 200, 400, 800)]
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-5
@@ -243,6 +250,9 @@ class TestRiemannSum:
             j_riemann_sum(0.0, 10)
         with pytest.raises(ValueError):
             j_riemann_sum(1.0, 0)
+        for s in (171, 170.9, 1e6):
+            with pytest.raises(ValueError, match="s <= 170.62"):
+                j_riemann_sum(s, 10)
 
 
 class TestClosedForms:
@@ -265,7 +275,7 @@ class TestClosedForms:
 
     def test_even_matches_euler_series(self):
         closed = j_closed_even(3)
-        series = j_euler_series(6, abs_tol=1e-11)
+        series = j_euler_series(6, 12)
         assert abs(closed.value - series.value) <= 1e-9
 
     def test_validation(self):
@@ -273,6 +283,14 @@ class TestClosedForms:
             j_closed_odd(0)
         with pytest.raises(ValueError):
             j_closed_even(0)
+
+    def test_domain_ends_below_171(self):
+        # J(169) and J(170) are the last arguments in the domain (the values
+        # there have lost every digit to cancellation, within their estimates)
+        assert j_closed_odd(85).work > 0 and j_closed_even(85).work > 0
+        for route, n in ((j_closed_odd, 86), (j_closed_even, 86), (j_closed_odd, 10**6)):
+            with pytest.raises(ValueError, match="s <= 170.62"):
+                route(n)
 
     @pytest.mark.parametrize("digits", [15, 17, 30])
     def test_bit_identical_to_uncached_factors(self, digits):
@@ -320,11 +338,51 @@ class TestClosedForms:
         assert calls == []
 
 
+# sha256 of (value, error_estimate, work) in hex over this grid, taken
+# before `digits` replaced the absolute tolerance arguments: the change of
+# argument must not move a bit
+PIN_S = (0.05, 0.5, 1, 2, 3.7, 8, 18, 40, 150)
+PIN_SHA256 = "4ad3bd745a9d23882862d29bcdd47c007c55c22439cb49cdbf37ef7b43c0ca82"
+
+
+class TestDigits:
+    def test_values_pinned(self):
+        lines = []
+        for s in PIN_S:
+            for digits in (12, 14, 15, 16):
+                r = j_quadrature(s, digits)
+                lines.append(f"q {s!r} {digits} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
+        for n in range(1, 171):
+            for digits in (12, 13, 14, 15, 17):
+                r = j_euler_series(n, digits)
+                lines.append(f"e {n} {digits} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PIN_SHA256
+
+    def test_defaults(self):
+        # 10^(1 - digits) at the defaults is the absolute target the routes
+        # had before: 1e-13 for quadrature and 1e-12 for the series
+        assert jfun._abs_target(14) == 1e-13 and jfun._abs_target(13) == 1e-12
+        assert j_quadrature(2.5) == j_quadrature(2.5, 14)
+        assert j_euler_series(7) == j_euler_series(7, 13)
+
+    @pytest.mark.parametrize("route", [j_quadrature, j_euler_series])
+    @pytest.mark.parametrize("digits", [0, -3, 325, 10**6])
+    def test_digits_out_of_range(self, route, digits):
+        with pytest.raises(ValueError, match="digits"):
+            route(3, digits)
+
+    def test_smallest_target_is_accepted(self):
+        # 10^-323 is a denormal and still a target
+        assert jfun._abs_target(324) == 1e-323
+        assert j_euler_series(3, 324).work > 1
+        assert j_quadrature(3, 324).work > 0
+
+
 class TestCrossMethodAgreement:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pairwise_within_error_estimates(self, n):
-        quad = j_quadrature(n, QuadratureConfig(target_abs_tol=1e-13))
-        series = j_euler_series(n, abs_tol=1e-13)
+        quad = j_quadrature(n, 14)
+        series = j_euler_series(n, 14)
         closed = j_closed_odd((n + 1) // 2) if n % 2 else j_closed_even(n // 2)
         for a, b in ((quad, series), (quad, closed), (series, closed)):
             allowed = 10 * max(a.error_estimate, b.error_estimate)
