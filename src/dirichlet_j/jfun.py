@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import factorial
 
 from .exact import PiPoly, _half_pi_term, euler_numbers
-from .special import EvalResult, beta_numeric, lambda_numeric
+from .special import EvalResult, _beta_even, lambda_numeric
 
 __all__ = [
     "ConvergenceError",
@@ -55,6 +55,12 @@ def _abs_target(digits: int) -> float:
     if target == 0.0:
         raise ValueError(f"digits={digits} is too large: the target 10^(1 - digits) underflows to 0")
     return target
+
+
+def _check_order(n: int) -> None:
+    """Rejects an integer route's n, before any work, unless it is an int >= 1 (bool excluded)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, not {n!r}")
 
 
 def _check_domain(s: float) -> None:
@@ -183,6 +189,7 @@ def _over_factorial(x: float, m: int) -> float:
     return math.ldexp(x / float(f >> shift), -shift)
 
 
+@lru_cache(maxsize=None, typed=True)  # at most 170 keys
 def _envelope_total(n: int) -> float:
     """sum_{k>=0} (2k)!/(n+2k+1)! = (1/n!) sum_{i>=0} 2^-(i+1)/(n+i).
 
@@ -207,8 +214,7 @@ def j_euler_series(n: int, digits: int = 13) -> EvalResult:
     residual left after tail completion drops below half the absolute target
     10^(1 - digits); the closed-form envelope remainder is then added.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order(n)
     _check_domain(n)
     tol = _abs_target(digits)
 
@@ -278,21 +284,21 @@ def j_closed_odd(n: int, digits: int = 15) -> EvalResult:
     """J(2n-1) from the closed form
     (pi/4) J(2n-1) = (-1)^{n-1} sum_{k=0}^{n-1} (-1)^k beta(2n-2k) (pi/2)^{2k} / (2k)!.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order(n)
     _check_domain(2 * n - 1)
+    betas, trunc, terms = _beta_even(n, digits)
+    factor_digits = max(digits, 15)
     acc = 0.0
     err = 0.0
-    work = 0
-    for k in range(n):
-        factor = _half_pi_factor(2 * k, max(digits, 15))
-        b = beta_numeric(2 * n - 2 * k, digits)
-        acc += (-1) ** k * b.value * factor
-        err += b.error_estimate * factor
-        work += b.work
+    sign = 1.0
+    for k, b in enumerate(betas):
+        factor = _half_pi_factor(2 * k, factor_digits)
+        acc += sign * b * factor
+        err += (trunc + 16.0 * _EPS * abs(b)) * factor
+        sign = -sign
     value = (-1) ** (n - 1) * acc * 4.0 / math.pi
     err = (err + 4.0 * _EPS * abs(acc)) * 4.0 / math.pi
-    return EvalResult(value, err, "closed_form", work)
+    return EvalResult(value, err, "closed_form", n * terms)
 
 
 def j_closed_even(n: int, digits: int = 15) -> EvalResult:
@@ -300,22 +306,22 @@ def j_closed_even(n: int, digits: int = 15) -> EvalResult:
     (pi/4) J(2n) = (-1)^n [lambda(2n+1)
                    - sum_{k=0}^{n-1} (-1)^k beta(2n-2k) (pi/2)^{2k+1} / (2k+1)!].
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order(n)
     _check_domain(2 * n)
     lam = lambda_numeric(2 * n + 1, digits)
+    betas, trunc, terms = _beta_even(n, digits)
+    factor_digits = max(digits, 15)
     acc = lam.value
     err = lam.error_estimate
-    work = lam.work
-    for k in range(n):
-        factor = _half_pi_factor(2 * k + 1, max(digits, 15))
-        b = beta_numeric(2 * n - 2 * k, digits)
-        acc -= (-1) ** k * b.value * factor
-        err += b.error_estimate * factor
-        work += b.work
+    sign = 1.0
+    for k, b in enumerate(betas):
+        factor = _half_pi_factor(2 * k + 1, factor_digits)
+        acc -= sign * b * factor
+        err += (trunc + 16.0 * _EPS * abs(b)) * factor
+        sign = -sign
     value = (-1) ** n * acc * 4.0 / math.pi
     err = (err + 4.0 * _EPS * abs(acc)) * 4.0 / math.pi
-    return EvalResult(value, err, "closed_form", work)
+    return EvalResult(value, err, "closed_form", lam.work + n * terms)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Literal
+from typing import Literal
 
 from .exact import PiPoly, up_down_number
 
@@ -73,6 +73,8 @@ def beta_odd_closed(m: int) -> PiPoly:
 
 
 def _terms_for_digits(digits: int) -> int:
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     # past ~250 terms the weight scale (3+sqrt8)^terms overflows a double,
     # and the truncation error is already far below denormal
     return min(math.ceil(1.32 * digits) + 4, 250)
@@ -95,17 +97,25 @@ def _chebyshev_weights(terms: int) -> tuple[tuple[float, ...], float]:
     return tuple(weights), d
 
 
-def _accelerated_alternating(a: Callable[[int], float], terms: int) -> float:
-    """sum_{k>=0} (-1)^k a(k) for totally monotone a, accelerated.
+@lru_cache(maxsize=None)
+def _bases(step: float, terms: int) -> tuple[float, ...]:
+    """The bases step*k + 1 of the terms k = 0..terms-1 of an alternating sum."""
+    return tuple(step * k + 1.0 for k in range(terms))
+
+
+def _accelerated_alternating(step: float, s: float, terms: int) -> float:
+    """sum_{k>=0} (-1)^k (step*k + 1)^-s, accelerated: eta(s) at step 1.0,
+    beta(s) at step 2.0.
 
     Chebyshev-polynomial weighting of the first `terms` partial sums; the
-    truncation error is O((3+sqrt 8)^-terms * a(0)).
+    truncation error is O((3+sqrt 8)^-terms).  Only the weights and bases
+    are cached: they depend on `step` and `terms` alone, never on s.
     """
     weights, d = _chebyshev_weights(terms)
-    s = 0.0
-    for k, c in enumerate(weights):
-        s += c * a(k)
-    return s / d
+    acc = 0.0
+    for c, b in zip(weights, _bases(step, terms)):
+        acc += c * b**-s
+    return acc / d
 
 
 def lambda_numeric(s: float, digits: int = 15) -> EvalResult:
@@ -116,10 +126,8 @@ def lambda_numeric(s: float, digits: int = 15) -> EvalResult:
     """
     if not 1 < s < math.inf:
         raise ValueError("lambda(s) requires finite s > 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     n = _terms_for_digits(digits)
-    eta = _accelerated_alternating(lambda k: (k + 1.0) ** (-s), n)
+    eta = _accelerated_alternating(1.0, s, n)
     # 1 - 2^{1-s} through expm1: the plain difference cancels as s -> 1
     scale = (1.0 - 2.0 ** (-s)) / -math.expm1((1.0 - s) * _LN2)
     value = eta * scale
@@ -131,9 +139,15 @@ def beta_numeric(s: float, digits: int = 15) -> EvalResult:
     """beta(s) = sum (-1)^{n-1}/(2n-1)^s for s > 0, to `digits` digits."""
     if not 0 < s < math.inf:
         raise ValueError("beta(s) requires finite s > 0")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     n = _terms_for_digits(digits)
-    value = _accelerated_alternating(lambda k: (2.0 * k + 1.0) ** (-s), n)
+    value = _accelerated_alternating(2.0, s, n)
     err = 4.0 * _ACCEL_RATE ** (-n) + 16.0 * _EPS * abs(value)
     return EvalResult(value, err, "accelerated_series", n)
+
+
+def _beta_even(n: int, digits: int) -> tuple[list[float], float, int]:
+    """beta(2n), beta(2n-2), ..., beta(2) as `beta_numeric` sums them, with
+    the truncation bound 4 (3+sqrt 8)^-terms of each and the term count."""
+    terms = _terms_for_digits(digits)
+    values = [_accelerated_alternating(2.0, 2 * n - 2 * k, terms) for k in range(n)]
+    return values, 4.0 * _ACCEL_RATE ** (-terms), terms

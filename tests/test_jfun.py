@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dirichlet_j import jfun
+from dirichlet_j import jfun, special
 from dirichlet_j.exact import PiPoly, bernoulli_numbers, euler_numbers
 from dirichlet_j.jfun import (
     ConvergenceError,
@@ -200,8 +200,10 @@ class TestEulerSeries:
             sys.setswitchinterval(interval)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            j_euler_series(0)
+        # a non-int or bool n is rejected before any work
+        for n in (0, 2.5, 3.0, True):
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                j_euler_series(n)
         with pytest.raises(ValueError):
             j_euler_series(1, 0)
         with pytest.raises(ValueError, match="overflows a double"):
@@ -279,10 +281,13 @@ class TestClosedForms:
         assert abs(closed.value - series.value) <= 1e-9
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            j_closed_odd(0)
-        with pytest.raises(ValueError):
-            j_closed_even(0)
+        # a non-int or bool n is rejected before any work: True used to give J(2)
+        for route in (j_closed_odd, j_closed_even):
+            for n in (0, 1.5, 2.0, True):
+                with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                    route(n)
+            with pytest.raises(ValueError, match="digits"):
+                route(1, 0)
 
     def test_domain_ends_below_171(self):
         # J(169) and J(170) are the last arguments in the domain (the values
@@ -336,6 +341,41 @@ class TestClosedForms:
         j_closed_odd(20)
         j_closed_even(20)
         assert calls == []
+
+    def test_no_beta_numeric_call_once_warm(self, monkeypatch):
+        # the betas come from the accelerated-series kernel in one pass
+        j_closed_odd(20)
+        j_closed_even(20)
+        calls = []
+
+        def counting_beta(s, digits=15):
+            calls.append(s)
+            return beta_numeric(s, digits)
+
+        monkeypatch.setattr(special, "beta_numeric", counting_beta)
+        monkeypatch.setattr(jfun, "beta_numeric", counting_beta, raising=False)
+        j_closed_odd(20)
+        j_closed_even(20)
+        assert calls == []
+
+    def test_values_pinned(self):
+        assert hashlib.sha256("\n".join(_closed_pin_lines()).encode()).hexdigest() == CLOSED_PIN_SHA256
+
+
+# sha256 of (value, error_estimate, work) in hex over this grid, taken while
+# the closed forms still called beta_numeric once per beta value: reading
+# the betas from the accelerated-series kernel must not move a bit
+CLOSED_PIN_SHA256 = "391984546db26fff19b0c9d7e2afcfe031c0163b690098275720c32709cdb865"
+
+
+def _closed_pin_lines():
+    lines = []
+    for n in range(1, 86):
+        for digits in (1, 5, 15, 17, 20, 30, 100, 400):
+            for tag, route in (("o", j_closed_odd), ("e", j_closed_even)):
+                r = route(n, digits)
+                lines.append(f"{tag} {n} {digits} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
+    return lines
 
 
 # sha256 of (value, error_estimate, work) in hex over this grid, taken

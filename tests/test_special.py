@@ -1,13 +1,18 @@
+import hashlib
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dirichlet_j.exact import PiPoly, bernoulli_numbers, euler_numbers
 from dirichlet_j.special import (
     EvalResult,
     _accelerated_alternating,
+    _beta_even,
+    _chebyshev_weights,
     beta_numeric,
     beta_odd_closed,
     lambda_even_closed,
@@ -181,14 +186,44 @@ def _recurrence_alternating(a, terms):
     return s / d
 
 
-@pytest.mark.parametrize(
-    "a",
-    [lambda k: (2.0 * k + 1.0) ** -0.5, lambda k: (2.0 * k + 1.0) ** -2.0, lambda k: (k + 1.0) ** -3.0],
-    ids=["beta-0.5", "beta-2", "eta-3"],
-)
-def test_cached_weights_match_recurrence(a):
+@pytest.mark.parametrize("step,s", [(2.0, 0.5), (2.0, 2.0), (1.0, 3.0)], ids=["beta-0.5", "beta-2", "eta-3"])
+def test_cached_weights_match_recurrence(step, s):
     for terms in range(1, 251):
-        assert _accelerated_alternating(a, terms) == _recurrence_alternating(a, terms), terms
+        expected = _recurrence_alternating(lambda k: (step * k + 1.0) ** -s, terms)
+        assert _accelerated_alternating(step, s, terms) == expected, terms
+
+
+def _callable_alternating(a, terms):
+    # the kernel as it was: the cached weights, one call of a per term
+    weights, d = _chebyshev_weights(terms)
+    s = 0.0
+    for k, c in enumerate(weights):
+        s += c * a(k)
+    return s / d
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1.0, 2.0]),
+    st.floats(0.0, 300.0, exclude_min=True) | st.integers(1, 300),
+    st.integers(1, 250),
+)
+def test_kernel_matches_callable_form(step, s, terms):
+    # the old callers passed lambda k: (k + 1.0) ** (-s) and (2.0 * k + 1.0) ** (-s)
+    a = (lambda k: (k + 1.0) ** (-s)) if step == 1.0 else (lambda k: (2.0 * k + 1.0) ** (-s))
+    assert _accelerated_alternating(step, s, terms) == _callable_alternating(a, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 85])
+@pytest.mark.parametrize("digits", [1, 15, 40, 400])
+def test_beta_even_matches_beta_numeric(n, digits):
+    values, trunc, terms = _beta_even(n, digits)
+    assert len(values) == n
+    for k, value in enumerate(values):
+        b = beta_numeric(2 * n - 2 * k, digits)
+        assert (value, trunc + 16.0 * math.ulp(1.0) * abs(value), terms) == (b.value, b.error_estimate, b.work)
+    with pytest.raises(ValueError, match="digits"):
+        _beta_even(n, 0)
 
 
 def _brute_alternating(a_fn, n_terms):
@@ -236,6 +271,28 @@ class TestErrorEstimateHonesty:
     def test_beta_reference_within_estimate(self, s, ref):
         r = beta_numeric(s)
         assert abs(r.value - ref) <= r.error_estimate
+
+
+# sha256 of (value, error_estimate, work) in hex over this grid, taken while
+# the accelerated series still called a function per term: the call-free
+# kernel must not move a bit
+PIN_S = tuple(0.05 * 6000.0 ** (i / 2999) for i in range(3000)) + tuple(range(1, 300)) + (1 + 1e-7, 1 + 1e-5, 1.001)
+PIN_SHA256 = "875d8942ae01b5366f63d1b1d2fe5a12e94cfe454151e2ba18a02e2a07960853"
+
+
+def _pin_lines():
+    lines = []
+    for s in PIN_S:
+        for digits in (1, 5, 15, 20, 40, 200):
+            routes = (("l", lambda_numeric), ("b", beta_numeric)) if s > 1 else (("b", beta_numeric),)
+            for tag, route in routes:
+                r = route(s, digits)
+                lines.append(f"{tag} {s!r} {digits} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
+    return lines
+
+
+def test_values_pinned():
+    assert hashlib.sha256("\n".join(_pin_lines()).encode()).hexdigest() == PIN_SHA256
 
 
 def test_eval_result_invariants():
