@@ -1,13 +1,29 @@
 """Dirichlet lambda/beta functions, the cosecant-moment integral J(s), and a
-machine-checked suite of the identities relating them."""
+machine-checked suite of the identities relating them.  Submodules load on
+first attribute access (PEP 562): `dirichlet_j.j_quadrature` never loads linalg."""
 
-from . import exact, identities, jfun, linalg, special
-from .exact import *  # noqa: F403
-from .identities import *  # noqa: F403
-from .jfun import *  # noqa: F403
-from .linalg import *  # noqa: F403
-from .special import *  # noqa: F403
+from importlib import import_module
 
-__all__ = [name for module in (exact, special, jfun, identities, linalg) for name in module.__all__]
+_SUBMODULES = ("exact", "special", "jfun", "identities", "linalg")  # each imports only earlier ones
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = [export for sub in _SUBMODULES for export in __getattr__(sub).__all__]
+    else:
+        # the first submodule that exports the name; those before it are its imports
+        exporters = (m for m in map(__getattr__, _SUBMODULES) if name in m.__all__)
+        owner = None if name.startswith("__") else next(exporters, None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*__getattr__("__all__"), *globals()})

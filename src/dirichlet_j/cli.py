@@ -8,6 +8,8 @@ Grammar:
 
 Exit codes: 0 success (verify: all checks passed), 1 failed identity,
 2 usage error or unwritable -o path, 3 evaluator convergence failure.
+`compute lambda|beta --method closed` takes arguments up to CLOSED_MAX = 1000
+(the exact forms cost about s^3: 0.3 s at 1000); a larger one is a usage error.
 The environment variable DIRICHLET_J_DIGITS overrides the default digits (15);
 a value that is not an integer >= 15 is a usage error for every command.
 json and csv output go through the stdlib `json` and `csv` modules; json
@@ -19,30 +21,13 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import random
 import sys
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .identities import (
-    IdentityReport,
-    _numeric_report,
-    check_collapse,
-    check_fourier,
-    check_remark1,
-    check_theorem1,
-    check_theorem2,
-    check_theorem4,
-)
-from .jfun import (
-    ConvergenceError,
-    j_closed_even,
-    j_closed_odd,
-    j_euler_series,
-    j_quadrature,
-    j_riemann_sum,
-)
-from .linalg import check_involution, csc_taylor_check, log_tan_series, trig_sum_check
+import dirichlet_j as dj  # identities and linalg load through it on first use: on the verify path only
+
+from .jfun import ConvergenceError, j_closed_even, j_closed_odd, j_euler_series, j_quadrature, j_riemann_sum
 from .special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
 __all__ = ["SUITES", "run", "main", "emit_report", "suite_reports", "THM1_NOTE"]
@@ -50,6 +35,7 @@ __all__ = ["SUITES", "run", "main", "emit_report", "suite_reports", "THM1_NOTE"]
 DEFAULT_SEED = 0x5EED
 DEFAULT_DIGITS = 15
 DEFAULT_TOL = 1e-10
+CLOSED_MAX = 1000
 _INVOLUTION_SIZES = (1, 2, 4, 8, 16, 32, 64)
 _RANDOM_TRIG_CASES = 100
 THM1_NOTE = ("note: thm1 is checked in its proof form (J factors inside the sum); "
@@ -99,7 +85,7 @@ def _serialize(fields: tuple[str, ...], rows: list[tuple], format: str) -> str:
 _REPORT_FIELDS = ("identity_id", "params", "lhs", "rhs", "abs_diff", "exact", "pass")
 
 
-def emit_report(reports: Sequence[IdentityReport], format: str = "text") -> str:
+def emit_report(reports: Sequence[dj.IdentityReport], format: str = "text") -> str:
     """Deterministic serialization of identity reports.
 
     json: one array of objects with keys identity_id, params, lhs, rhs,
@@ -152,34 +138,37 @@ def _m_range(span: tuple[int, int] | None, default_hi: int) -> range:
     return range(lo, hi + 1)
 
 
-def _lemmas(span, tol, seed, deep) -> list[IdentityReport]:
-    reports = [check_involution(n, kind) for n in _INVOLUTION_SIZES for kind in ("sine", "cosine")]
+def _lemmas(span, tol, seed, deep) -> list[dj.IdentityReport]:
+    import random
+
+    reports = [dj.check_involution(n, kind) for n in _INVOLUTION_SIZES for kind in ("sine", "cosine")]
     rng = random.Random(seed)
     for variant in ("1_cos", "1_sin", "2_altcos"):
         for case in range(_RANDOM_TRIG_CASES):
             n = rng.randint(1, 50)
             x = rng.uniform(0.05, math.pi / 2 - 0.05)
-            reports.append(trig_sum_check(variant, n, x, case=case))
+            reports.append(dj.trig_sum_check(variant, n, x, case=case))
     terms = 10**6 if deep else 10**4
     log_tol = 1e-5 if deep else 1e-3
     for case, x in enumerate((1.0, math.pi / 3)):
         closed = -0.5 * math.log(math.tan(x / 2.0))
-        reports.append(_numeric_report("lemma7", (case,), log_tan_series(x, terms), closed, tol=log_tol))
-    reports.append(csc_taylor_check(8))
+        series = dj.log_tan_series(x, terms)
+        reports.append(dj.identities._numeric_report("lemma7", (case,), series, closed, tol=log_tol))
+    reports.append(dj.csc_taylor_check(8))
     return reports
 
 
-def _fourier(span, tol, seed, deep) -> list[IdentityReport]:
+def _fourier(span, tol, seed, deep) -> list[dj.IdentityReport]:
     terms = 10**6 if deep else 2 * 10**4
     reports = []
     for i in range(16):
         x = i * (math.pi / 2) / 15
-        reports.append(check_fourier("sine", 1, x, terms, tol=1e-5, params=(1, i), identity_id="eq_a2"))
+        reports.append(dj.check_fourier("sine", 1, x, terms, tol=1e-5, params=(1, i), identity_id="eq_a2"))
     for m in (1, 2, 3):
         for idx in (1, 2, 3, 4):
             x = idx * math.pi / 8
-            reports.append(check_fourier("sine", m, x, terms, tol=1e-5, params=(m, idx)))
-            reports.append(check_fourier("cosine", m, x, terms, tol=1e-5, params=(m, idx)))
+            reports.append(dj.check_fourier("sine", m, x, terms, tol=1e-5, params=(m, idx)))
+            reports.append(dj.check_fourier("cosine", m, x, terms, tol=1e-5, params=(m, idx)))
     return reports
 
 
@@ -189,12 +178,12 @@ def _fourier(span, tol, seed, deep) -> list[IdentityReport]:
 # remark1 and collapse are exact, so `verify remark1|collapse` rejects --tol.
 _FIXED_SUITES = ("lemmas", "fourier")
 _EXACT_SUITES = ("remark1", "collapse")
-SUITES: dict[str, Callable[..., list[IdentityReport]]] = {
-    "thm1": lambda span, tol, seed, deep: [check_theorem1(m, tol) for m in _m_range(span, 5)],
-    "thm2": lambda span, tol, seed, deep: [check_theorem2(m, tol) for m in _m_range(span, 5)],
-    "thm4": lambda span, tol, seed, deep: [r for n in _m_range(span, 5) for r in check_theorem4(n, tol)],
-    "remark1": lambda span, tol, seed, deep: [r for m in _m_range(span, 20) for r in check_remark1(m)],
-    "collapse": lambda span, tol, seed, deep: [r for m in _m_range(span, 8) for r in check_collapse(m)],
+SUITES: dict[str, Callable[..., list[dj.IdentityReport]]] = {
+    "thm1": lambda span, tol, seed, deep: [dj.check_theorem1(m, tol) for m in _m_range(span, 5)],
+    "thm2": lambda span, tol, seed, deep: [dj.check_theorem2(m, tol) for m in _m_range(span, 5)],
+    "thm4": lambda span, tol, seed, deep: [r for n in _m_range(span, 5) for r in dj.check_theorem4(n, tol)],
+    "remark1": lambda span, tol, seed, deep: [r for m in _m_range(span, 20) for r in dj.check_remark1(m)],
+    "collapse": lambda span, tol, seed, deep: [r for m in _m_range(span, 8) for r in dj.check_collapse(m)],
     "lemmas": _lemmas,
     "fourier": _fourier,
 }
@@ -206,7 +195,7 @@ def suite_reports(
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     deep: bool = False,
-) -> list[IdentityReport]:
+) -> list[dj.IdentityReport]:
     """The reports of `verify <suite>` ("all" runs every entry of SUITES),
     sorted by identity id and params."""
     names = SUITES if suite == "all" else (suite,)
@@ -227,25 +216,19 @@ def _parse_arg(text: str) -> float | int:
 
 def _compute(fn: str, s: float | int, method: str, digits: int) -> tuple[float, str, float | None, int]:
     """Returns (value, method, error_estimate, work)."""
-    if fn == "lambda":
+    if fn != "J":
+        odd = fn == "beta"  # the closed forms give lambda(2m) and beta(2m - 1): s = 2m - odd
+        numeric, closed = (beta_numeric, beta_odd_closed) if odd else (lambda_numeric, lambda_even_closed)
         if method in ("auto", "series"):
-            r = lambda_numeric(s, digits)
+            r = numeric(s, digits)
             return r.value, r.method, r.error_estimate, r.work
-        if method == "closed":
-            if isinstance(s, int) and s >= 2 and s % 2 == 0:
-                return lambda_even_closed(s // 2).evalf(digits), "closed_form", None, 0
-            raise ValueError("closed form for lambda needs an even integer argument >= 2")
-        raise ValueError(f"method {method!r} not available for lambda")
-
-    if fn == "beta":
-        if method in ("auto", "series"):
-            r = beta_numeric(s, digits)
-            return r.value, r.method, r.error_estimate, r.work
-        if method == "closed":
-            if isinstance(s, int) and s >= 1 and s % 2 == 1:
-                return beta_odd_closed((s + 1) // 2).evalf(digits), "closed_form", None, 0
-            raise ValueError("closed form for beta needs an odd integer argument >= 1")
-        raise ValueError(f"method {method!r} not available for beta")
+        if method != "closed":
+            raise ValueError(f"method {method!r} not available for {fn}")
+        if not (isinstance(s, int) and s >= 2 - odd and s % 2 == odd):
+            raise ValueError(f"closed form for {fn} needs an {'odd' if odd else 'even'} integer argument >= {2 - odd}")
+        if s > CLOSED_MAX:
+            raise ValueError(f"closed form for {fn} needs an argument <= {CLOSED_MAX}")
+        return closed((s + odd) // 2).evalf(digits), "closed_form", None, 0
 
     # J
     if method == "riemann":

@@ -18,10 +18,10 @@ from math import factorial
 from typing import Iterable, Mapping, Union
 
 Coeff = Union[int, Fraction]
+_setattr = object.__setattr__  # sets a slot past the guard of _Record.__setattr__
 
 __all__ = [
     "PiPoly",
-    "half_pi_power",
     "up_down_number",
     "euler_numbers",
     "bernoulli_numbers",
@@ -68,7 +68,39 @@ def _canonical(sums: dict[int, Fraction]) -> dict[int, Fraction]:
     return {e: c for e, c in sorted(sums.items()) if c}
 
 
-class PiPoly:
+class _Record:
+    """Base of the package's immutable values (PiPoly and the result records):
+    the fields are the __slots__, compared (only with a value of the same
+    class), hashed and shown in order, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._values()))})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PiPoly(_Record):
     """Exact polynomial in pi: a map {exponent >= 0 -> nonzero Fraction}.
 
     Values are immutable; arithmetic returns new instances and never stores
@@ -85,14 +117,14 @@ class PiPoly:
                 raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")
             c = _as_fraction(coeff)
             canon[exp] = canon[exp] + c if exp in canon else c
-        object.__setattr__(self, "_terms", _canonical(canon))
+        _setattr(self, "_terms", _canonical(canon))
 
     @classmethod
     def _from_sums(cls, sums: dict[int, Fraction]) -> "PiPoly":
         """Trusted constructor for arithmetic results, whose exponents and
         Fraction coefficients need no validation."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "_terms", _canonical(sums))
+        _setattr(poly, "_terms", _canonical(sums))
         return poly
 
     @classmethod
@@ -112,9 +144,6 @@ class PiPoly:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiPoly is immutable")
 
     def __add__(self, other: "PiPoly") -> "PiPoly":
         if not isinstance(other, PiPoly):
@@ -148,11 +177,6 @@ class PiPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PiPoly):
-            return NotImplemented
-        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(tuple(self._terms.items()))
@@ -200,13 +224,6 @@ class PiPoly:
 
     def __repr__(self) -> str:
         return f"PiPoly({self})"
-
-
-def half_pi_power(exp: int) -> PiPoly:
-    """(pi/2)^exp as an exact PiPoly."""
-    if exp < 0:
-        raise ValueError("exponent must be >= 0")
-    return PiPoly.term(Fraction(1, 2**exp), exp)
 
 
 @lru_cache(maxsize=None)

@@ -22,11 +22,10 @@ Identity catalog (ids used in reports and by the CLI):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import factorial
 from typing import Literal, Union
 
-from .exact import PiPoly, _half_pi_term
+from .exact import PiPoly, _half_pi_term, _Record
 from .jfun import j_euler_series, j_quadrature, j_closed_even, j_closed_odd, w_expansion
 from .special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
@@ -52,16 +51,12 @@ JSource = Literal["quadrature", "euler_series"]
 TOL_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity_id: str
-    params: tuple[int, ...]
-    lhs: Side
-    rhs: Side
-    abs_diff: float
-    exact: bool
-    passed: bool
-    tol: float = 0.0
+class IdentityReport(_Record):
+    __slots__ = ("identity_id", "params", "lhs", "rhs", "abs_diff", "exact", "passed", "tol")
+
+    def __init__(self, identity_id: str, params: tuple[int, ...], lhs: Side, rhs: Side, abs_diff: float,
+                 exact: bool, passed: bool, tol: float = 0.0):
+        self._assign(identity_id, params, lhs, rhs, abs_diff, exact, passed, tol)
 
 
 def _exact_report(identity_id: str, params: tuple[int, ...], lhs: PiPoly, rhs: PiPoly) -> IdentityReport:

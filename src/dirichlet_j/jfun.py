@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 
-from .exact import PiPoly, _half_pi_term, euler_numbers
+from .exact import PiPoly, _half_pi_term, _Record, euler_numbers
 from .special import EvalResult, _beta_even, lambda_numeric
 
 __all__ = [
@@ -264,8 +263,7 @@ def j_riemann_sum(s: float, n: int) -> float:
     Diagnostic only; no error estimate is claimed.
     """
     _check_domain(s)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order(n)
     gamma = _gamma_s_plus_1(s)
     import numpy as np
     p = np.arange(1, n + 1, dtype=float)
@@ -324,8 +322,7 @@ def j_closed_even(n: int, digits: int = 15) -> EvalResult:
     return EvalResult(value, err, "closed_form", lam.work + n * terms)
 
 
-@dataclass(frozen=True)
-class WExpansion:
+class WExpansion(_Record):
     """Exact expansion coefficients of the divergent cosine-denominator
     companion of J at integer order m in terms of J(0..m):
     coefficient of J(k) is (-1)^k (pi/2)^{m-k} / (m-k)!.
@@ -333,8 +330,10 @@ class WExpansion:
     Symbolic bookkeeping only; neither the companion nor J(0) is a number.
     """
 
-    order: int
-    coefficients: tuple[PiPoly, ...] = field(default_factory=tuple)
+    __slots__ = ("order", "coefficients")
+
+    def __init__(self, order: int, coefficients: tuple[PiPoly, ...] = ()):
+        self._assign(order, coefficients)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: see special.lambda_even_closed

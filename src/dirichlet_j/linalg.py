@@ -9,11 +9,10 @@ before any trig call, so large index products cost no accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import factorial
 from typing import TYPE_CHECKING, Literal
 
-from .exact import euler_numbers
+from .exact import _Record, euler_numbers
 from .identities import IdentityReport, _numeric_report, _odd_harmonic_sum
 
 if TYPE_CHECKING:
@@ -32,14 +31,12 @@ Kind = Literal["sine", "cosine"]
 TrigLemma = Literal["1_cos", "1_sin", "2_altcos"]
 
 
-@dataclass(frozen=True)
-class OddGridMatrix:
-    n: int
-    kind: Kind
-    entries: np.ndarray
+class OddGridMatrix(_Record):
+    __slots__ = ("n", "kind", "entries")
 
-    def __post_init__(self):
-        self.entries.setflags(write=False)
+    def __init__(self, n: int, kind: Kind, entries: np.ndarray):
+        entries.setflags(write=False)
+        self._assign(n, kind, entries)
 
 
 def build_matrix(n: int, kind: Kind) -> OddGridMatrix:

@@ -9,13 +9,12 @@ lambda / odd beta integer orders are produced exactly as pi-polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Literal
 
-from .exact import PiPoly, up_down_number
+from .exact import PiPoly, _Record, _setattr, up_down_number
 
 __all__ = [
     "EvalResult",
@@ -33,20 +32,21 @@ _ACCEL_RATE = 3.0 + math.sqrt(8.0)
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(_Record):
     """A computed value with an absolute error estimate and work counter."""
 
-    value: float
-    error_estimate: float
-    method: Method
-    work: int
+    __slots__ = ("value", "error_estimate", "method", "work")
 
-    def __post_init__(self):
-        if self.error_estimate < 0:
+    def __init__(self, value: float, error_estimate: float, method: Method, work: int):
+        if error_estimate < 0:
             raise ValueError("error_estimate must be >= 0")
-        if self.method != "closed_form" and self.work <= 0:
+        if method != "closed_form" and work <= 0:
             raise ValueError("work must be > 0 for non-closed-form methods")
+        # slot by slot, not through _assign: this record is built on every evaluation
+        _setattr(self, "value", value)
+        _setattr(self, "error_estimate", error_estimate)
+        _setattr(self, "method", method)
+        _setattr(self, "work", work)
 
 
 # The closed forms are immutable PiPolys, built once per m.  The caches are

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import dirichlet_j
-from dirichlet_j.cli import SUITES, emit_report, run, suite_reports
+from dirichlet_j.cli import CLOSED_MAX, SUITES, emit_report, run, suite_reports
 from dirichlet_j.exact import PiPoly
 from dirichlet_j.identities import IdentityReport
 
@@ -154,6 +154,25 @@ class TestCompute:
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert domain in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "fn,arg", [("lambda", "1e6"), ("lambda", "1002"), ("beta", "1001"), ("beta", "1000001"), ("lambda", "1e300")]
+    )
+    def test_closed_form_above_bound_is_usage_error(self, fn, arg, capsys):
+        # rejected before any work: lambda 1e6 once grew the up/down table for hours
+        start = time.perf_counter()
+        assert run(["compute", fn, arg, "--method", "closed"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: closed form for {fn} needs an argument <= 1000\n"
+
+    def test_closed_form_at_bound(self, capout):
+        assert CLOSED_MAX == 1000
+        assert run(["compute", "lambda", "1000", "--method", "closed"]) == 0
+        assert capout().startswith("lambda(1000) = 1\nmethod: closed_form")
+        assert run(["compute", "beta", "999", "--method", "closed"]) == 0
+        assert capout().startswith("beta(999) = 1\nmethod: closed_form")
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,7 +10,6 @@ from dirichlet_j.exact import (
     _half_pi_term,
     bernoulli_numbers,
     euler_numbers,
-    half_pi_power,
     pi_fraction,
 )
 
@@ -231,13 +230,8 @@ class TestEvalf:
         assert abs(left - right) <= 2.0 * math.ulp(scale)
 
 
-def test_half_pi_power():
-    assert half_pi_power(0) == PiPoly.term(1, 0)
-    assert half_pi_power(3) == PiPoly.term(Fraction(1, 8), 3)
-    assert half_pi_power(2).evalf(15) == pytest.approx(2.4674011002723397, rel=1e-15)
-
-
 def test_half_pi_term_table():
     for j in range(171):
         assert _half_pi_term(j) == PiPoly.term(Fraction(1, 2**j * math.factorial(j)), j)
-    assert _half_pi_term(5) == half_pi_power(5) * Fraction(1, 120)
+    assert _half_pi_term(0) == PiPoly.term(1, 0)
+    assert _half_pi_term(2).evalf(15) == pytest.approx(2.4674011002723397 / 2, rel=1e-15)

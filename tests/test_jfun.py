@@ -256,6 +256,12 @@ class TestRiemannSum:
             with pytest.raises(ValueError, match="s <= 170.62"):
                 j_riemann_sum(s, 10)
 
+    @pytest.mark.parametrize("n", [2.5, True, 2.0])
+    def test_order_must_be_an_int(self, n):
+        # 2.5 once gave 1.5010 and True counted as n = 1
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            j_riemann_sum(1.0, n)
+
 
 class TestClosedForms:
     def test_odd_base_case(self):
