@@ -26,8 +26,8 @@ from math import factorial
 from typing import Literal, Union
 
 from .exact import PiPoly, _half_pi_term, _Record
-from .jfun import j_euler_series, j_quadrature, j_closed_even, j_closed_odd, w_expansion
-from .special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
+from .jfun import _check_order, j_closed_even, j_closed_odd, j_quadrature, w_expansion
+from .special import EvalResult, beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
 __all__ = [
     "IdentityReport",
@@ -46,7 +46,6 @@ __all__ = [
 _EPS = math.ulp(1.0)
 Side = Union[float, PiPoly]
 Kind = Literal["sine", "cosine"]
-JSource = Literal["quadrature", "euler_series"]
 
 TOL_FLOOR = 1e-10
 
@@ -81,61 +80,54 @@ def _numeric_report(
     return IdentityReport(identity_id, params, lhs, rhs, diff, exact=False, passed=diff <= tol, tol=tol)
 
 
-def _j_value(q: int, source: JSource):
-    if source == "euler_series":
-        return j_euler_series(q, 14)
-    return j_quadrature(q)
-
-
-def check_theorem1(
+def _j_sum_report(
+    identity_id: str,
     m: int,
-    tol: float | None = None,
-    j_source: JSource = "quadrature",
-    use_proof_form: bool = True,
+    lhs: EvalResult,
+    terms: list[tuple[int, PiPoly, int]],
+    tol: float | None,
+    j_from: int = 1,
 ) -> IdentityReport:
-    """lambda(2m+1) vs the alternating lambda/J combination.
-
-    The verifier of record keeps the J(2k-1) factor inside the sum
-    (`use_proof_form=True`); the variant without it is provided because it is
-    numerically wrong already at m=2, and documenting that is part of the
-    check suite.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    lam = lambda_numeric(2 * m + 1)
+    """lhs vs sum sign * coeff * J(e) over (sign, coeff, e) triples, J by
+    quadrature; terms with e < j_from drop their J factor. The error budget
+    adds each J's estimate and a 4-ulp rounding per product to lhs's."""
     rhs = 0.0
-    err = lam.error_estimate
-    for sign, coeff, e in _closed_form_terms("sine", m):
+    err = lhs.error_estimate
+    for sign, coeff, e in terms:
         value = coeff.evalf()
-        if use_proof_form or e == 2 * m:  # the statement form keeps J only on the beta(1) term
-            j = _j_value(e, j_source)
+        if e >= j_from:
+            j = j_quadrature(e)
             rhs += sign * value * j.value
             err += value * j.error_estimate + 4.0 * _EPS * value * abs(j.value)
         else:
             rhs += sign * value
             err += 4.0 * _EPS * value
-    return _numeric_report("thm1", (m,), lam.value, rhs, err, tol)
+    return _numeric_report(identity_id, (m,), lhs.value, rhs, err, tol)
 
 
-def check_theorem2(m: int, tol: float | None = None, j_source: JSource = "quadrature") -> IdentityReport:
+def check_theorem1(m: int, tol: float | None = None, use_proof_form: bool = True) -> IdentityReport:
+    """lambda(2m+1) vs the alternating lambda/J combination.
+
+    The verifier of record keeps the J(2k-1) factor inside the sum
+    (`use_proof_form=True`); the variant without it, which keeps J only on
+    the beta(1) term, is provided because it is numerically wrong already at
+    m=2, and documenting that is part of the check suite.
+    """
+    _check_order(m, "m")
+    lam = lambda_numeric(2 * m + 1)
+    return _j_sum_report("thm1", m, lam, _closed_form_terms("sine", m), tol, 1 if use_proof_form else 2 * m)
+
+
+def check_theorem2(m: int, tol: float | None = None) -> IdentityReport:
     """beta(2m) vs sum_{k=1..m} (-1)^{k-1} beta(2m-2k+1) J(2k-1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    lhs = beta_numeric(2 * m)
-    rhs = 0.0
-    err = lhs.error_estimate
-    for k in range(1, m + 1):
-        bval = beta_odd_closed(m - k + 1).evalf()
-        j = _j_value(2 * k - 1, j_source)
-        rhs += (-1) ** (k - 1) * bval * j.value
-        err += bval * j.error_estimate + 4.0 * _EPS * bval * abs(j.value)
-    return _numeric_report("thm2", (m,), lhs.value, rhs, err, tol)
+    _check_order(m, "m")
+    terms = [((-1) ** (k - 1), beta_odd_closed(m - k + 1), 2 * k - 1) for k in range(1, m + 1)]
+    return _j_sum_report("thm2", m, beta_numeric(2 * m), terms, tol)
 
 
 def check_theorem4(n: int, tol: float | None = None) -> tuple[IdentityReport, IdentityReport]:
     """Closed forms for J(2n-1) and J(2n) vs quadrature."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order(n)
     reports = []
     for identity_id, q, closed in (
         ("thm4_odd", 2 * n - 1, j_closed_odd(n)),
@@ -172,8 +164,7 @@ def sine_value_poly_at_half_pi(m: int) -> PiPoly:
 
     Equals beta(2m+1) as a pi-polynomial.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_order(m, "m")
     return _at_half_pi(_closed_form_terms("sine", m))
 
 
@@ -182,8 +173,7 @@ def cosine_value_poly_at_half_pi(m: int) -> PiPoly:
 
     Collapses to the zero polynomial.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_order(m, "m")
     return _at_half_pi(_closed_form_terms("cosine", m))
 
 
@@ -191,8 +181,7 @@ def check_remark1(m: int) -> tuple[IdentityReport, IdentityReport]:
     """Both exact closed-form identities for (pi/4)(pi/2)^j/j! at j = 2m-1, 2m:
     the cosine and sine closed forms at pi/2, 0 and beta(2m+1), solved for
     their beta(1) terms."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_order(m, "m")
     reports = []
     cases = (("remark1_a", "cosine", PiPoly.zero()), ("remark1_b", "sine", beta_odd_closed(m + 1)))
     for identity_id, kind, value in cases:
@@ -215,8 +204,7 @@ def check_collapse(m: int) -> list[IdentityReport]:
     Even q: C_q equals the cosine closed-form value at pi/2, i.e. the zero
     polynomial.  Odd q = 2k-1: C_q equals (-1)^{k-1} beta(2m-2k+1).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_order(m, "m")
     parts = [(sign, coeff, w_expansion(e)) for sign, coeff, e in _closed_form_terms("cosine", m)]
     reports = []
     for q in range(2 * m):
@@ -292,8 +280,7 @@ def fourier_closed(kind: Kind, m: int, x: float) -> float:
     or order-2m cosine series (kind='cosine') on 0 <= x <= pi/2."""
     if kind not in ("sine", "cosine"):
         raise ValueError("kind must be 'sine' or 'cosine'")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_order(m, "m")
     if not 0.0 <= x <= math.pi / 2 + 4 * _EPS:
         raise ValueError("x must lie in [0, pi/2]")
     acc = 0.0
@@ -316,6 +303,7 @@ def check_fourier(
     The tolerance covers the series tail at `terms`; the default pairing of
     1e-5 with 1e6 terms is conservative for every order >= 2.
     """
+    _check_order(m, "m")
     order = 2 * m + 1 if kind == "sine" else 2 * m
     lhs = fourier_partial(kind, order, x, terms)
     rhs = fourier_closed(kind, m, x)

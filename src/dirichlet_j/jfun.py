@@ -18,7 +18,6 @@ J(k) are produced, for use by the exact identity checks.
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
 from math import factorial
 
@@ -56,10 +55,10 @@ def _abs_target(digits: int) -> float:
     return target
 
 
-def _check_order(n: int) -> None:
-    """Rejects an integer route's n, before any work, unless it is an int >= 1 (bool excluded)."""
+def _check_order(n: int, name: str = "n") -> None:
+    """Rejects an integer order, before any work, unless it is an int >= 1 (bool excluded)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, not {n!r}")
+        raise ValueError(f"{name} must be an integer >= 1, not {n!r}")
 
 
 def _check_domain(s: float) -> None:
@@ -96,11 +95,10 @@ def _integrand(x, s: float):
 
 _T_MAX = 6.2  # beyond this the node weight underflows to 0
 _MAX_LEVEL = 12
-_node_cache: dict[int, tuple[tuple[float, float], ...]] = {}
-_node_lock = threading.Lock()
 
 
-def _build_level(level: int) -> tuple[tuple[float, float], ...]:
+@lru_cache(maxsize=None)  # idempotent: a race may build a level twice, never differently
+def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     """Nodes new at `level` as pairs (log x, w / sin x): level 0 is the unit
     grid, higher levels contribute only the odd multiples of h = 2^-level."""
     h = 2.0 ** (-level)
@@ -122,16 +120,6 @@ def _build_level(level: int) -> tuple[tuple[float, float], ...]:
                 continue
             nodes.append((math.log(x), w / math.sin(x)))
     return tuple(nodes)
-
-
-def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
-    try:
-        return _node_cache[level]
-    except KeyError:
-        pass
-    built = _build_level(level)
-    with _node_lock:
-        return _node_cache.setdefault(level, built)
 
 
 def j_quadrature(s: float, digits: int = 14) -> EvalResult:
@@ -278,25 +266,36 @@ def _half_pi_factor(j: int, digits: int) -> float:
     return _half_pi_term(j).evalf(digits)
 
 
+def _theorem4(n: int, e: int, digits: int) -> EvalResult:
+    """J(2n-1+e), e = 0 or 1, from Theorem 4:
+    (pi/4) J(2n-1+e) = (-1)^n [e lambda(2n+1)
+                       - sum_{k=0}^{n-1} (-1)^k beta(2n-2k) (pi/2)^{2k+e} / (2k+e)!].
+    """
+    _check_order(n)
+    _check_domain(2 * n - 1 + e)
+    acc = err = 0.0
+    work = 0
+    if e:
+        lam = lambda_numeric(2 * n + 1, digits)
+        acc, err, work = lam.value, lam.error_estimate, lam.work
+    betas, trunc, terms = _beta_even(n, digits)
+    factor_digits = max(digits, 15)
+    sign = 1.0
+    for k, b in enumerate(betas):
+        factor = _half_pi_factor(2 * k + e, factor_digits)
+        acc -= sign * b * factor
+        err += (trunc + 16.0 * _EPS * abs(b)) * factor
+        sign = -sign
+    value = (-1) ** n * acc * 4.0 / math.pi
+    err = (err + 4.0 * _EPS * abs(acc)) * 4.0 / math.pi
+    return EvalResult(value, err, "closed_form", work + n * terms)
+
+
 def j_closed_odd(n: int, digits: int = 15) -> EvalResult:
     """J(2n-1) from the closed form
     (pi/4) J(2n-1) = (-1)^{n-1} sum_{k=0}^{n-1} (-1)^k beta(2n-2k) (pi/2)^{2k} / (2k)!.
     """
-    _check_order(n)
-    _check_domain(2 * n - 1)
-    betas, trunc, terms = _beta_even(n, digits)
-    factor_digits = max(digits, 15)
-    acc = 0.0
-    err = 0.0
-    sign = 1.0
-    for k, b in enumerate(betas):
-        factor = _half_pi_factor(2 * k, factor_digits)
-        acc += sign * b * factor
-        err += (trunc + 16.0 * _EPS * abs(b)) * factor
-        sign = -sign
-    value = (-1) ** (n - 1) * acc * 4.0 / math.pi
-    err = (err + 4.0 * _EPS * abs(acc)) * 4.0 / math.pi
-    return EvalResult(value, err, "closed_form", n * terms)
+    return _theorem4(n, 0, digits)
 
 
 def j_closed_even(n: int, digits: int = 15) -> EvalResult:
@@ -304,22 +303,7 @@ def j_closed_even(n: int, digits: int = 15) -> EvalResult:
     (pi/4) J(2n) = (-1)^n [lambda(2n+1)
                    - sum_{k=0}^{n-1} (-1)^k beta(2n-2k) (pi/2)^{2k+1} / (2k+1)!].
     """
-    _check_order(n)
-    _check_domain(2 * n)
-    lam = lambda_numeric(2 * n + 1, digits)
-    betas, trunc, terms = _beta_even(n, digits)
-    factor_digits = max(digits, 15)
-    acc = lam.value
-    err = lam.error_estimate
-    sign = 1.0
-    for k, b in enumerate(betas):
-        factor = _half_pi_factor(2 * k + 1, factor_digits)
-        acc -= sign * b * factor
-        err += (trunc + 16.0 * _EPS * abs(b)) * factor
-        sign = -sign
-    value = (-1) ** n * acc * 4.0 / math.pi
-    err = (err + 4.0 * _EPS * abs(acc)) * 4.0 / math.pi
-    return EvalResult(value, err, "closed_form", lam.work + n * terms)
+    return _theorem4(n, 1, digits)
 
 
 class WExpansion(_Record):

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Literal
 
 from .exact import _Record, euler_numbers
 from .identities import IdentityReport, _numeric_report, _odd_harmonic_sum
+from .jfun import _check_order
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,8 +43,7 @@ class OddGridMatrix(_Record):
 def build_matrix(n: int, kind: Kind) -> OddGridMatrix:
     """Symmetric n x n matrix with entry (i, j) = sin or cos of
     (2i-1)(2j-1)pi/(4n), indices 1-based."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order(n)
     if kind not in ("sine", "cosine"):
         raise ValueError("kind must be 'sine' or 'cosine'")
     import numpy as np
@@ -77,8 +77,7 @@ def trig_sum_check(lemma: TrigLemma, n: int, x: float, case: int | None = None) 
     x at a pole of the closed form (multiples of pi for the first two, odd
     multiples of pi/2 for the third) is rejected.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order(n)
     import numpy as np
     k = np.arange(1, n + 1, dtype=float)
     a = (2.0 * k - 1.0) * x
@@ -125,8 +124,7 @@ def csc_taylor_check(k_max: int) -> IdentityReport:
     read from the integer boustrophedon table behind :func:`euler_numbers`.
     The two routes share no arithmetic.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _check_order(k_max, "k_max")
     from fractions import Fraction
 
     from .exact import PiPoly

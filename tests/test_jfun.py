@@ -92,7 +92,7 @@ class TestQuadrature:
     def test_thread_safety_of_node_cache(self):
         import dirichlet_j.jfun as jf
 
-        jf._node_cache.clear()
+        jf._level_nodes.cache_clear()
         with ThreadPoolExecutor(max_workers=8) as pool:
             values = list(pool.map(lambda _: j_quadrature(2).value, range(16)))
         assert len(set(values)) == 1

@@ -4,11 +4,13 @@ import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dirichlet_j
+from dirichlet_j import identities, linalg
 from dirichlet_j.exact import PiPoly
 from dirichlet_j.identities import IdentityReport
 from dirichlet_j.jfun import WExpansion
@@ -204,3 +206,58 @@ def test_pipoly_is_immutable_and_copies():
     assert copy.copy(p) == p and pickle.loads(pickle.dumps(p)) == p
     assert hash(copy.deepcopy(p)) == hash(p)
     assert p != 3 and PiPoly.term(3, 0) != 3
+
+
+# ---------------------------------------------------------------------------
+# order arguments of the identity and lemma checks
+# ---------------------------------------------------------------------------
+
+ORDER_CHECKS = {
+    "check_theorem1": ("m", identities.check_theorem1),
+    "check_theorem2": ("m", identities.check_theorem2),
+    "check_theorem4": ("n", identities.check_theorem4),
+    "check_remark1": ("m", identities.check_remark1),
+    "check_collapse": ("m", identities.check_collapse),
+    "sine_value_poly_at_half_pi": ("m", identities.sine_value_poly_at_half_pi),
+    "cosine_value_poly_at_half_pi": ("m", identities.cosine_value_poly_at_half_pi),
+    "fourier_closed": ("m", lambda m: identities.fourier_closed("sine", m, 0.5)),
+    "check_fourier": ("m", lambda m: identities.check_fourier("cosine", m, 0.5, 10)),
+    "build_matrix": ("n", lambda n: linalg.build_matrix(n, "sine")),
+    "check_involution": ("n", lambda n: linalg.check_involution(n, "cosine")),
+    "trig_sum_check": ("n", lambda n: linalg.trig_sum_check("1_cos", n, 0.3)),
+    "csc_taylor_check": ("k_max", linalg.csc_taylor_check),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1.5, True], ids=["zero", "float", "bool"])
+@pytest.mark.parametrize("check", sorted(ORDER_CHECKS))
+def test_order_must_be_an_int_of_at_least_one(check, order):
+    name, call = ORDER_CHECKS[check]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, not {order!r}$"):
+        call(order)
+
+
+# ---------------------------------------------------------------------------
+# the names the benchmark tracer wraps
+# ---------------------------------------------------------------------------
+
+
+def _tracer_namespace():
+    """perfbench/tracer.py executed from its source, which writes no bytecode
+    cache; it imports only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    namespace = {"__name__": "tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return namespace
+
+
+def test_every_traced_name_resolves():
+    tracer = _tracer_namespace()
+    for name in tracer["FUNCTIONS"]:
+        if name.startswith("exact.PiPoly."):
+            continue
+        module_name, func_name = name.split(".")
+        module = importlib.import_module(f"dirichlet_j.{module_name}")
+        assert callable(getattr(module, func_name, None)), name
+    for method in ("evalf", *tracer["_ARITH"]):
+        assert method in PiPoly.__dict__, method
