@@ -5,7 +5,9 @@ table of up/down numbers A_n (sec t + tan t = sum_n A_n t^n / n!).
 Rationals are `fractions.Fraction` (always stored reduced, positive
 denominator). Constants such as lambda(2m) = (rational) * pi^{2m} live in
 :class:`PiPoly`, a polynomial in pi with Fraction coefficients and
-non-negative integer exponents.
+non-negative integer exponents.  Signed sums of PiPoly products go through
+one kernel, `_signed_product_sum`, which adds integers over a common
+denominator: one gcd per exponent instead of one per operation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping, Union
 
 Coeff = Union[int, Fraction]
@@ -224,6 +226,24 @@ class PiPoly(_Record):
 
     def __repr__(self) -> str:
         return f"PiPoly({self})"
+
+
+def _signed_product_sum(triples: Iterable[tuple[int, PiPoly, PiPoly]]) -> PiPoly:
+    """sum sign * a * b over (sign, a, b) triples, exactly: per exponent, the
+    products' integer numerators are added over one common denominator
+    (math.lcm), so each coefficient takes one Fraction reduction instead of
+    one per product and per addition."""
+    parts: dict[int, list[tuple[int, int]]] = {}
+    for sign, a, b in triples:
+        for e1, c1 in a._terms.items():
+            for e2, c2 in b._terms.items():
+                pair = (sign * c1.numerator * c2.numerator, c1.denominator * c2.denominator)
+                parts.setdefault(e1 + e2, []).append(pair)
+    sums: dict[int, Fraction] = {}
+    for e, pairs in parts.items():
+        den = lcm(*(d for _, d in pairs))
+        sums[e] = Fraction(sum(n * (den // d) for n, d in pairs), den)
+    return PiPoly._from_sums(sums)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ import math
 from math import factorial
 from typing import Literal, Union
 
-from .exact import PiPoly, _half_pi_term, _Record
+from .exact import PiPoly, _half_pi_term, _Record, _signed_product_sum
 from .jfun import _check_order, j_closed_even, j_closed_odd, j_quadrature, w_expansion
 from .special import EvalResult, beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
@@ -152,11 +152,7 @@ def _closed_form_terms(kind: Kind, m: int) -> list[tuple[int, PiPoly, int]]:
 
 def _at_half_pi(terms: list[tuple[int, PiPoly, int]]) -> PiPoly:
     """sum sign * coefficient * (pi/2)^e / e! over closed-form terms, exactly."""
-    acc = PiPoly.zero()
-    for sign, coeff, e in terms:
-        term = coeff * _half_pi_term(e)
-        acc = acc + term if sign > 0 else acc - term
-    return acc
+    return _signed_product_sum((sign, coeff, _half_pi_term(e)) for sign, coeff, e in terms)
 
 
 def sine_value_poly_at_half_pi(m: int) -> PiPoly:
@@ -208,11 +204,7 @@ def check_collapse(m: int) -> list[IdentityReport]:
     parts = [(sign, coeff, w_expansion(e)) for sign, coeff, e in _closed_form_terms("cosine", m)]
     reports = []
     for q in range(2 * m):
-        coeff = PiPoly.zero()
-        for sign, c, w in parts:
-            if q <= w.order:
-                term = c * w.coefficients[q]
-                coeff = coeff + term if sign > 0 else coeff - term
+        coeff = _signed_product_sum((sign, c, w.coefficients[q]) for sign, c, w in parts if q <= w.order)
         k = (q + 1) // 2
         expected = PiPoly.zero() if q % 2 == 0 else (-1) ** (k - 1) * beta_odd_closed(m - k + 1)
         reports.append(_exact_report("collapse", (m, q), coeff, expected))
@@ -266,10 +258,8 @@ def fourier_partial(kind: Kind, order: int, x: float, terms: int) -> float:
     x is rejected if an angle (2k-1)x of the summation grid overflows."""
     if kind not in ("sine", "cosine"):
         raise ValueError("kind must be 'sine' or 'cosine'")
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    _check_order(order, "order", 2)
+    _check_order(terms, "terms")
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     return _odd_harmonic_sum(kind, order, x, terms)

@@ -55,10 +55,10 @@ def _abs_target(digits: int) -> float:
     return target
 
 
-def _check_order(n: int, name: str = "n") -> None:
-    """Rejects an integer order, before any work, unless it is an int >= 1 (bool excluded)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"{name} must be an integer >= 1, not {n!r}")
+def _check_order(n: int, name: str = "n", least: int = 1) -> None:
+    """Rejects an integer order, before any work, unless it is an int >= least (bool excluded)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {n!r}")
 
 
 def _check_domain(s: float) -> None:

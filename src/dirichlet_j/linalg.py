@@ -110,8 +110,7 @@ def log_tan_series(x: float, terms: int) -> float:
     -(1/2) ln(tan(x/2)) on (0, pi)."""
     if not 0.0 < x < math.pi:
         raise ValueError("x must lie in (0, pi)")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    _check_order(terms, "terms")
     return _odd_harmonic_sum("cosine", 1, x, terms)
 
 

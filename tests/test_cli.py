@@ -233,6 +233,13 @@ PINNED_SHA256 = {
     ("verify", "collapse", "--range", "1..24", "--format", "csv"): (
         "8c550246920b213c90cb437ca617cdb7f99e37d59d0ca6a054324b5ae795b7f2"
     ),
+    # taken before the exact sums became one fused signed-product kernel
+    ("verify", "collapse", "--range", "1..30", "--format", "json"): (
+        "9d14f9ba7692bb0685cdf8752ae57c25d637e7d921b19128aa74d69b7a25b519"
+    ),
+    ("verify", "remark1", "--range", "1..60", "--format", "text"): (
+        "c481e5afe846269578f6cc95dd384f0af4d12faf6cc3d97a609377a26a87bf4a"
+    ),
 }
 
 

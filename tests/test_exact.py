@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from dirichlet_j.exact import (
     PiPoly,
     _half_pi_term,
+    _signed_product_sum,
     bernoulli_numbers,
     euler_numbers,
     pi_fraction,
@@ -196,6 +197,43 @@ class TestPiPoly:
         for c in (a * a + a).terms.values():
             assert math.gcd(abs(c.numerator), c.denominator) == 1
             assert c.denominator > 0
+
+
+mixed_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=8), st.one_of(st.integers(-50, 50), coeffs), max_size=4
+).map(PiPoly)
+signed_products = st.lists(st.tuples(st.sampled_from([1, -1]), mixed_polys, mixed_polys), max_size=8)
+
+
+def _naive_signed_sum(triples):
+    acc = PiPoly.zero()
+    for sign, a, b in triples:
+        acc = acc + (a * b if sign > 0 else -(a * b))
+    return acc
+
+
+class TestSignedProductSum:
+    @settings(max_examples=150)
+    @given(signed_products, st.booleans())
+    def test_equals_the_naive_fold(self, triples, cancel):
+        if cancel:  # every product again with the opposite sign and factors swapped
+            triples = triples + [(-sign, b, a) for sign, a, b in reversed(triples)]
+        got = _signed_product_sum(iter(triples))
+        want = _naive_signed_sum(triples)
+        assert got == want and got.terms == want.terms and str(got) == str(want)
+        assert list(got.terms) == sorted(got.terms)
+        for c in got.terms.values():
+            assert isinstance(c, Fraction) and c and math.gcd(c.numerator, c.denominator) == 1
+        if cancel:
+            assert got.is_zero and got == PiPoly.zero()
+
+    def test_empty_and_multi_term(self):
+        assert _signed_product_sum([]) == PiPoly.zero()
+        a = PiPoly({0: 1, 2: Fraction(1, 3)})
+        b = PiPoly({1: Fraction(-1, 2), 2: 5})
+        # (1 + pi^2/3)(-pi/2 + 5 pi^2) - (pi^2/3)(5 pi^2) = -pi/2 + 5 pi^2 - pi^3/6
+        got = _signed_product_sum([(1, a, b), (-1, PiPoly.term(Fraction(1, 3), 2), PiPoly.term(5, 2))])
+        assert got == PiPoly({1: Fraction(-1, 2), 2: 5, 3: Fraction(-1, 6)})
 
 
 class TestEvalf:

@@ -177,6 +177,33 @@ class TestExactConstantCaches:
         assert calls == []
         assert all(r.passed for r in reports)
 
+    @staticmethod
+    def _pipolys_built(monkeypatch, call):
+        """PiPolys made by arithmetic (every result goes through _from_sums)
+        during a warm call."""
+        call()
+        built = []
+        from_sums = PiPoly._from_sums.__func__
+
+        def counting(cls, sums):
+            built.append(len(sums))
+            return from_sums(cls, sums)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PiPoly, "_from_sums", classmethod(counting))
+            call()
+        return len(built)
+
+    def test_collapse_builds_no_pipoly_per_term(self, monkeypatch):
+        # one sum per coefficient and one expected value per odd q, not a
+        # product and a sum per term
+        m = 24
+        assert self._pipolys_built(monkeypatch, lambda: check_collapse(m)) <= 2 * (2 * m)
+
+    def test_remark1_pipolys_do_not_grow_with_m(self, monkeypatch):
+        counts = [self._pipolys_built(monkeypatch, lambda: check_remark1(m)) for m in (10, 60)]
+        assert counts[0] == counts[1] <= 8
+
 
 class TestFourierPartial:
     def test_sine_vanishes_at_zero(self):

@@ -226,6 +226,8 @@ ORDER_CHECKS = {
     "check_involution": ("n", lambda n: linalg.check_involution(n, "cosine")),
     "trig_sum_check": ("n", lambda n: linalg.trig_sum_check("1_cos", n, 0.3)),
     "csc_taylor_check": ("k_max", linalg.csc_taylor_check),
+    "fourier_partial": ("terms", lambda terms: identities.fourier_partial("sine", 3, 0.5, terms)),
+    "log_tan_series": ("terms", lambda terms: linalg.log_tan_series(0.5, terms)),
 }
 
 
@@ -235,6 +237,12 @@ def test_order_must_be_an_int_of_at_least_one(check, order):
     name, call = ORDER_CHECKS[check]
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, not {order!r}$"):
         call(order)
+
+
+@pytest.mark.parametrize("order", [1, 2.5, True], ids=["one", "float", "bool"])
+def test_fourier_partial_order_must_be_an_int_of_at_least_two(order):
+    with pytest.raises(ValueError, match=f"^order must be an integer >= 2, not {order!r}$"):
+        identities.fourier_partial("sine", order, 0.5, 10)
 
 
 # ---------------------------------------------------------------------------
