@@ -64,6 +64,13 @@ def _exact_report(identity_id: str, params: tuple[int, ...], lhs: PiPoly, rhs: P
     return IdentityReport(identity_id, params, lhs, rhs, diff, exact=True, passed=equal)
 
 
+def _check_tol(tol: float | None) -> None:
+    """Rejects a tolerance, before any work, unless it is None (the check's
+    default) or a finite number > 0."""
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, not {tol!r}")
+
+
 def _numeric_report(
     identity_id: str,
     params: tuple[int, ...],
@@ -114,6 +121,7 @@ def check_theorem1(m: int, tol: float | None = None, use_proof_form: bool = True
     m=2, and documenting that is part of the check suite.
     """
     _check_order(m, "m")
+    _check_tol(tol)
     lam = lambda_numeric(2 * m + 1)
     return _j_sum_report("thm1", m, lam, _closed_form_terms("sine", m), tol, 1 if use_proof_form else 2 * m)
 
@@ -121,6 +129,7 @@ def check_theorem1(m: int, tol: float | None = None, use_proof_form: bool = True
 def check_theorem2(m: int, tol: float | None = None) -> IdentityReport:
     """beta(2m) vs sum_{k=1..m} (-1)^{k-1} beta(2m-2k+1) J(2k-1)."""
     _check_order(m, "m")
+    _check_tol(tol)
     terms = [((-1) ** (k - 1), beta_odd_closed(m - k + 1), 2 * k - 1) for k in range(1, m + 1)]
     return _j_sum_report("thm2", m, beta_numeric(2 * m), terms, tol)
 
@@ -128,6 +137,7 @@ def check_theorem2(m: int, tol: float | None = None) -> IdentityReport:
 def check_theorem4(n: int, tol: float | None = None) -> tuple[IdentityReport, IdentityReport]:
     """Closed forms for J(2n-1) and J(2n) vs quadrature."""
     _check_order(n)
+    _check_tol(tol)
     reports = []
     for identity_id, q, closed in (
         ("thm4_odd", 2 * n - 1, j_closed_odd(n)),
@@ -220,32 +230,43 @@ def _odd_harmonic_sum(kind: Kind, order: int, x: float, terms: int) -> float:
     Each chunk of up to _CHUNK terms is a rows x block grid (block ~ sqrt of
     the chunk) of odd a = a0 + 2 r block + 2 j, so sin(a x) and cos(a x)
     follow from phi_j = (a0 + 2j) x and theta_r = 2 r block x by angle
-    addition: rows + block trig calls per chunk, not rows * block.  Row sums
-    of w sin(phi_j) and w cos(phi_j), w = a^-order (0 past the last term),
-    use numpy's pairwise summation; math.fsum adds the rotated row sums of
-    all chunks, so the large first terms take a single rounding there.
+    addition: rows + block trig calls per chunk, not rows * block.  The row
+    sums of w sin(phi_j) and w cos(phi_j), w = a^-order (0 past the last
+    term), are one BLAS product of the rows x block weights with the
+    block x 2 matrix [sin phi_j, cos phi_j].  The grid is stored largest a
+    first, so a row sum, which BLAS accumulates along the row, adds the
+    small weights before the large ones.  math.fsum adds the rotated row
+    sums of all chunks, so the large first terms take a single rounding
+    there.  a, w and the trig matrix live in buffers allocated once per call
+    for the first chunk, whose grid is the largest, and refilled in place.
     """
     import numpy as np
 
+    block = math.isqrt(min(_CHUNK, terms) - 1) + 1
+    odd = np.arange(2 * block * block - 1, 0, -2, dtype=float)  # a - a0 + 1, largest first
+    a = np.empty_like(odd)
+    w = np.empty_like(odd)
+    trig = np.empty((2, block))  # rows sin(phi_j), cos(phi_j)
     parts: list[float] = []
     for start in range(0, terms, _CHUNK):
         count = min(_CHUNK, terms - start)
         block = math.isqrt(count - 1) + 1
         rows = -(-count // block)
-        a0 = 2 * start + 1
-        a = np.arange(a0, a0 + 2 * rows * block, 2, dtype=float)
-        if not math.isfinite(float(a[-1]) * x):  # the largest angle, padded cells included
+        size = rows * block
+        chunk_a = np.add(odd[-size:], 2 * start, out=a[:size])
+        if not math.isfinite(float(chunk_a[0]) * x):  # the largest angle, padded cells included
             raise ValueError("x is too large: the angle (2k-1)x overflows")
-        w = a.copy()  # a**order would call pow() per element
+        chunk_w = w[:size]
+        np.copyto(chunk_w, chunk_a)  # a**order would call pow() per element
         for _ in range(order - 1):
-            w *= a
-        np.reciprocal(w, out=w)
-        w[count:] = 0.0
-        w = w.reshape(rows, block)
-        phi = a[:block] * x
-        sin_sum = np.sum(w * np.sin(phi), axis=1)
-        cos_sum = np.sum(w * np.cos(phi), axis=1)
-        theta = np.arange(0, 2 * rows * block, 2 * block, dtype=float) * x
+            chunk_w *= chunk_a
+        np.reciprocal(chunk_w, out=chunk_w)
+        chunk_w[:size - count] = 0.0  # the padded cells, past the last term
+        phi = chunk_a[-block:] * x  # phi_j, from row r = 0, stored last
+        np.sin(phi, out=trig[0, :block])
+        np.cos(phi, out=trig[1, :block])
+        sin_sum, cos_sum = (chunk_w.reshape(rows, block) @ trig[:, :block].T).T
+        theta = np.arange(2 * (size - block), -1, -2 * block, dtype=float) * x  # theta_r, last row first
         along, across = (sin_sum, cos_sum) if kind == "sine" else (cos_sum, -sin_sum)
         parts += (np.cos(theta) * along).tolist()
         parts += (np.sin(theta) * across).tolist()
@@ -294,6 +315,7 @@ def check_fourier(
     1e-5 with 1e6 terms is conservative for every order >= 2.
     """
     _check_order(m, "m")
+    _check_tol(tol)
     order = 2 * m + 1 if kind == "sine" else 2 * m
     lhs = fourier_partial(kind, order, x, terms)
     rhs = fourier_closed(kind, m, x)

@@ -13,7 +13,7 @@ from math import factorial
 from typing import TYPE_CHECKING, Literal
 
 from .exact import _Record, euler_numbers
-from .identities import IdentityReport, _numeric_report, _odd_harmonic_sum
+from .identities import IdentityReport, _check_tol, _numeric_report, _odd_harmonic_sum
 from .jfun import _check_order
 
 if TYPE_CHECKING:
@@ -56,6 +56,7 @@ def build_matrix(n: int, kind: Kind) -> OddGridMatrix:
 
 def check_involution(n: int, kind: Kind, tol: float | None = None) -> IdentityReport:
     """max |M^2 - (n/2) I| over all entries, by direct multiplication."""
+    _check_tol(tol)
     if tol is None:
         tol = n * 1e-13
     import numpy as np
@@ -75,32 +76,36 @@ def trig_sum_check(lemma: TrigLemma, n: int, x: float, case: int | None = None) 
       2_altcos: sum (-1)^{k-1}cos((2k-1)x) = sec(x) sin(n(pi-2x)/2)^2
 
     x at a pole of the closed form (multiples of pi for the first two, odd
-    multiples of pi/2 for the third) is rejected.
+    multiples of pi/2 for the third), a non-finite x and an x whose angle
+    2nx overflows are rejected before any work.
     """
     _check_order(n)
+    if lemma not in ("1_cos", "1_sin", "2_altcos"):
+        raise ValueError("lemma must be one of '1_cos', '1_sin', '2_altcos'")
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    if not math.isfinite(2 * n * x):
+        raise ValueError("x is too large: the angle 2nx overflows")
+    if lemma == "2_altcos":
+        if abs(math.cos(x)) < 1e-12:
+            raise ValueError("x is at a pole of sec")
+    elif abs(math.sin(x)) < 1e-12:
+        raise ValueError("x is at a pole of csc")
     import numpy as np
     k = np.arange(1, n + 1, dtype=float)
     a = (2.0 * k - 1.0) * x
     if lemma == "1_cos":
-        if abs(math.sin(x)) < 1e-12:
-            raise ValueError("x is at a pole of csc")
         direct = float(np.sum(np.cos(a)))
         closed = 0.5 * math.sin(2 * n * x) / math.sin(x)
         identity_id = "lemma1_cos"
     elif lemma == "1_sin":
-        if abs(math.sin(x)) < 1e-12:
-            raise ValueError("x is at a pole of csc")
         direct = float(np.sum(np.sin(a)))
         closed = math.sin(n * x) ** 2 / math.sin(x)
         identity_id = "lemma1_sin"
-    elif lemma == "2_altcos":
-        if abs(math.cos(x)) < 1e-12:
-            raise ValueError("x is at a pole of sec")
+    else:
         direct = float(np.sum(np.where(k % 2 == 1, 1.0, -1.0) * np.cos(a)))
         closed = math.sin(n * (math.pi - 2.0 * x) / 2.0) ** 2 / math.cos(x)
         identity_id = "lemma2"
-    else:
-        raise ValueError("lemma must be one of '1_cos', '1_sin', '2_altcos'")
     params = (n,) if case is None else (n, case)
     return _numeric_report(identity_id, params, direct, closed, tol=n * 1e-13)
 

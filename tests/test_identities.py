@@ -1,10 +1,13 @@
 import hashlib
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import dirichlet_j
 from dirichlet_j.exact import PiPoly, _half_pi_term
 from dirichlet_j.identities import (
     check_collapse,
@@ -72,6 +75,13 @@ class TestTheorem4:
         odd, even = check_theorem4(n, tol=1e-10)
         assert odd.identity_id == "thm4_odd" and odd.passed
         assert even.identity_id == "thm4_even" and even.passed
+
+
+@pytest.mark.parametrize("check", [check_theorem1, check_theorem2, check_theorem4])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_theorem_tol_must_be_a_finite_number_above_zero(check, tol):
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        check(2, tol=tol)
 
 
 # sha256 of (lhs, rhs, abs_diff, tol) in hex over these reports, taken while
@@ -258,6 +268,25 @@ class TestFourierPartial:
                 tol = 4 * EPS * math.fsum(scales[:n])
                 assert abs(fourier_partial(kind, order, x, n) - ref) <= tol, (x, n)
 
+    def test_overflow_is_checked_in_every_chunk(self):
+        # 65 536 terms fill one chunk whose largest angle, 131071 x, is
+        # finite; the second chunk's grid reaches 262143 x, which is not
+        x = 1e303
+        assert math.isfinite(fourier_partial("sine", 3, x, 65536))
+        with pytest.raises(ValueError, match="overflows"):
+            fourier_partial("sine", 3, x, 140001)
+
+    def test_no_state_is_kept_between_calls(self):
+        # each call fills its own buffers: after a larger and a smaller call,
+        # a call still equals, bit for bit, the same call made first in a
+        # fresh interpreter
+        script = "import sys; from dirichlet_j import fourier_partial as f; print(f('sine', 3, 0.7, int(sys.argv[1])).hex())"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dirichlet_j.__file__)))
+        for n in (140001, 3, 65537):
+            fresh = subprocess.run([sys.executable, "-c", script, str(n)], env=env, capture_output=True, text=True,
+                                   check=True, timeout=120).stdout.strip()
+            assert fourier_partial("sine", 3, 0.7, n).hex() == fresh, n
+
     def test_memory_stays_chunk_sized(self):
         import tracemalloc
 
@@ -321,6 +350,11 @@ class TestFourierEquality:
     def test_cosine_partial_matches_closed(self, m, x):
         r = check_fourier("cosine", m, x, terms=10**5, tol=1e-5)
         assert r.passed, r
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_tol_must_be_a_finite_number_above_zero(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            check_fourier("sine", 1, 0.5, 10**6, tol=tol)
 
     def test_base_case_grid_converges(self):
         # order-3 sine series against lambda(2) x - beta(1) x^2/2

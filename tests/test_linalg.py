@@ -77,6 +77,11 @@ class TestInvolution:
         resid = np.max(np.abs(m @ (2.0 / n * m) - np.eye(n)))
         assert resid <= 2e-13 * n
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_tol_must_be_a_finite_number_above_zero(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            check_involution(4, "sine", tol=tol)
+
     def test_report_ids(self):
         assert check_involution(2, "sine").identity_id == "lemma3"
         assert check_involution(2, "cosine").identity_id == "lemma4"
@@ -102,6 +107,31 @@ class TestTrigSums:
             trig_sum_check("1_sin", 3, math.pi)
         with pytest.raises(ValueError):
             trig_sum_check("2_altcos", 3, math.pi / 2)
+
+    @pytest.mark.parametrize("lemma", ["1_cos", "1_sin", "2_altcos"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, lemma, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            trig_sum_check(lemma, 3, x)
+
+    @pytest.mark.parametrize("lemma", ["1_cos", "1_sin", "2_altcos"])
+    def test_overflowing_angle_rejected(self, lemma):
+        # 2nx overflows although x is finite
+        with pytest.raises(ValueError, match="overflows"):
+            trig_sum_check(lemma, 1, 1e308)
+
+    def test_arguments_checked_before_any_array(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            for args in (("bogus", 10**7, 0.3), ("1_cos", 10**7, math.nan), ("1_sin", 10**7, 0.0)):
+                with pytest.raises(ValueError):
+                    trig_sum_check(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     @settings(max_examples=100, deadline=None)
     @given(
