@@ -38,8 +38,7 @@ def pi_fraction(digits: int) -> Fraction:
     Machin's formula evaluated in scaled-integer arithmetic, independent of
     any floating-point pi constant.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    _check_order(digits, "digits")
     guard = digits + 10
     unity = 10 ** guard
 
@@ -68,6 +67,13 @@ def _as_fraction(value: Coeff) -> Fraction:
 def _canonical(sums: dict[int, Fraction]) -> dict[int, Fraction]:
     """The stored form of a PiPoly: nonzero coefficients, sorted by exponent."""
     return {e: c for e, c in sorted(sums.items()) if c}
+
+
+def _check_order(n: int, name: str = "n", least: int = 1) -> None:
+    """Rejects an integer argument (an order, count, digit count or exponent),
+    before any work, unless it is an int >= least (bool excluded)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {n!r}")
 
 
 class _Record:
@@ -115,8 +121,7 @@ class PiPoly(_Record):
         items = terms.items() if isinstance(terms, Mapping) else terms
         canon: dict[int, Fraction] = {}
         for exp, coeff in items:
-            if not isinstance(exp, int) or exp < 0:
-                raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")
+            _check_order(exp, "exponent", 0)
             c = _as_fraction(coeff)
             canon[exp] = canon[exp] + c if exp in canon else c
         _setattr(self, "_terms", _canonical(canon))
@@ -135,8 +140,7 @@ class PiPoly(_Record):
 
     @classmethod
     def term(cls, coeff: Coeff, exp: int) -> "PiPoly":
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {exp!r}")
+        _check_order(exp, "exponent", 0)
         return cls._from_sums({exp: _as_fraction(coeff)})
 
     @property
@@ -190,8 +194,7 @@ class PiPoly(_Record):
         rounded once on conversion to float, so the returned double is
         correctly rounded whenever digits >= 17.
         """
-        if digits < 15:
-            raise ValueError("digits must be >= 15")
+        _check_order(digits, "digits", 15)
         if not self._terms:
             return 0.0
         pi_f = pi_fraction(digits + 8)
@@ -273,8 +276,7 @@ def _up_down_numbers(n: int) -> list[int]:
 
 def up_down_number(n: int) -> int:
     """The up/down number A_n, read from the shared table."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_order(n, "n", 0)
     return _up_down_numbers(n)[n]
 
 
@@ -283,8 +285,7 @@ def euler_numbers(count: int) -> list[int]:
 
     E_{2k} = (-1)^k A_{2k}, read from the up/down table.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_order(count, "count")
     a = _up_down_numbers(2 * count - 2)
     return [(-1) ** k * a[2 * k] for k in range(count)]
 
@@ -295,8 +296,7 @@ def bernoulli_numbers(count: int) -> list[Fraction]:
     B_0 = 1 and B_{2m} = (-1)^{m-1} 2m A_{2m-1} / (4^m (4^m - 1)) for m >= 1,
     from the tangent numbers A_{2m-1} in the up/down table.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_order(count, "count")
     a = _up_down_numbers(2 * count - 3)
     return [Fraction(1)] + [
         Fraction((-1) ** (m - 1) * 2 * m * a[2 * m - 1], 4**m * (4**m - 1)) for m in range(1, count)

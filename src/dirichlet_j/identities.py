@@ -25,8 +25,8 @@ import math
 from math import factorial
 from typing import Literal, Union
 
-from .exact import PiPoly, _half_pi_term, _Record, _signed_product_sum
-from .jfun import _check_order, j_closed_even, j_closed_odd, j_quadrature, w_expansion
+from .exact import PiPoly, _check_order, _half_pi_term, _Record, _signed_product_sum
+from .jfun import j_closed_even, j_closed_odd, j_quadrature, w_expansion
 from .special import EvalResult, beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
 __all__ = [
@@ -62,6 +62,11 @@ def _exact_report(identity_id: str, params: tuple[int, ...], lhs: PiPoly, rhs: P
     equal = lhs == rhs
     diff = 0.0 if equal else abs((lhs - rhs).evalf())
     return IdentityReport(identity_id, params, lhs, rhs, diff, exact=True, passed=equal)
+
+
+def _check_kind(kind: Kind) -> None:
+    if kind not in ("sine", "cosine"):
+        raise ValueError("kind must be 'sine' or 'cosine'")
 
 
 def _check_tol(tol: float | None) -> None:
@@ -277,8 +282,7 @@ def fourier_partial(kind: Kind, order: int, x: float, terms: int) -> float:
     """Partial sum of sum_k sin((2k-1)x)/(2k-1)^order (or cos in the numerator).
 
     x is rejected if an angle (2k-1)x of the summation grid overflows."""
-    if kind not in ("sine", "cosine"):
-        raise ValueError("kind must be 'sine' or 'cosine'")
+    _check_kind(kind)
     _check_order(order, "order", 2)
     _check_order(terms, "terms")
     if not math.isfinite(x):
@@ -289,8 +293,7 @@ def fourier_partial(kind: Kind, order: int, x: float, terms: int) -> float:
 def fourier_closed(kind: Kind, m: int, x: float) -> float:
     """Polynomial closed form of the order-(2m+1) sine series (kind='sine')
     or order-2m cosine series (kind='cosine') on 0 <= x <= pi/2."""
-    if kind not in ("sine", "cosine"):
-        raise ValueError("kind must be 'sine' or 'cosine'")
+    _check_kind(kind)
     _check_order(m, "m")
     if not 0.0 <= x <= math.pi / 2 + 4 * _EPS:
         raise ValueError("x must lie in [0, pi/2]")

@@ -21,7 +21,7 @@ import math
 from functools import lru_cache
 from math import factorial
 
-from .exact import PiPoly, _half_pi_term, _Record, euler_numbers
+from .exact import PiPoly, _check_order, _half_pi_term, _Record, euler_numbers
 from .special import EvalResult, _beta_even, lambda_numeric
 
 __all__ = [
@@ -47,18 +47,11 @@ class ConvergenceError(RuntimeError):
 
 def _abs_target(digits: int) -> float:
     """The absolute stopping target 10^(1 - digits) of the J routes."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    _check_order(digits, "digits")
     target = 10.0 ** -(digits - 1)
     if target == 0.0:
         raise ValueError(f"digits={digits} is too large: the target 10^(1 - digits) underflows to 0")
     return target
-
-
-def _check_order(n: int, name: str = "n", least: int = 1) -> None:
-    """Rejects an integer order, before any work, unless it is an int >= least (bool excluded)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < least:
-        raise ValueError(f"{name} must be an integer >= {least}, not {n!r}")
 
 
 def _check_domain(s: float) -> None:
@@ -278,13 +271,13 @@ def _theorem4(n: int, e: int, digits: int) -> EvalResult:
     if e:
         lam = lambda_numeric(2 * n + 1, digits)
         acc, err, work = lam.value, lam.error_estimate, lam.work
-    betas, trunc, terms = _beta_even(n, digits)
+    betas, terms = _beta_even(n, digits)
     factor_digits = max(digits, 15)
     sign = 1.0
-    for k, b in enumerate(betas):
+    for k, (b, b_err) in enumerate(betas):
         factor = _half_pi_factor(2 * k + e, factor_digits)
         acc -= sign * b * factor
-        err += (trunc + 16.0 * _EPS * abs(b)) * factor
+        err += b_err * factor
         sign = -sign
     value = (-1) ** n * acc * 4.0 / math.pi
     err = (err + 4.0 * _EPS * abs(acc)) * 4.0 / math.pi
@@ -322,7 +315,6 @@ class WExpansion(_Record):
 
 @lru_cache(maxsize=None, typed=True)  # typed: see special.lambda_even_closed
 def w_expansion(m: int) -> WExpansion:
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _check_order(m, "m", 0)
     coeffs = tuple(-_half_pi_term(m - k) if k % 2 else _half_pi_term(m - k) for k in range(m + 1))
     return WExpansion(order=m, coefficients=coeffs)

@@ -12,9 +12,8 @@ import math
 from math import factorial
 from typing import TYPE_CHECKING, Literal
 
-from .exact import _Record, euler_numbers
-from .identities import IdentityReport, _check_tol, _numeric_report, _odd_harmonic_sum
-from .jfun import _check_order
+from .exact import _check_order, _Record, euler_numbers
+from .identities import IdentityReport, Kind, _check_kind, _check_tol, _numeric_report, _odd_harmonic_sum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "csc_taylor_check",
 ]
 
-Kind = Literal["sine", "cosine"]
 TrigLemma = Literal["1_cos", "1_sin", "2_altcos"]
 
 
@@ -44,8 +42,7 @@ def build_matrix(n: int, kind: Kind) -> OddGridMatrix:
     """Symmetric n x n matrix with entry (i, j) = sin or cos of
     (2i-1)(2j-1)pi/(4n), indices 1-based."""
     _check_order(n)
-    if kind not in ("sine", "cosine"):
-        raise ValueError("kind must be 'sine' or 'cosine'")
+    _check_kind(kind)
     import numpy as np
     odd = 2 * np.arange(1, n + 1, dtype=np.int64) - 1
     prod = np.outer(odd, odd) % (8 * n)  # angle numerator, period 8n <-> 2 pi

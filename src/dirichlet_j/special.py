@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Literal
 
-from .exact import PiPoly, _Record, _setattr, up_down_number
+from .exact import PiPoly, _check_order, _Record, _setattr, up_down_number
 
 __all__ = [
     "EvalResult",
@@ -50,14 +50,13 @@ class EvalResult(_Record):
 
 
 # The closed forms are immutable PiPolys, built once per m.  The caches are
-# typed: an argument that fails the checks, such as 1.0 (TypeError), never
-# matches the entry of an equal argument that passed them, such as True.
+# typed: a bool or float such as True or 1.0, which the checks reject
+# (ValueError), never matches the entry of an equal int that passed them.
 @lru_cache(maxsize=None, typed=True)
 def lambda_even_closed(m: int) -> PiPoly:
     """lambda(2m) = A_{2m-1} pi^{2m} / (2^{2m+1} (2m-1)!) as an exact pi-polynomial,
     A_{2m-1} being a tangent number read from the up/down table."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_order(m, "m")
     coeff = Fraction(up_down_number(2 * m - 1), 2 ** (2 * m + 1) * factorial(2 * m - 1))
     return PiPoly.term(coeff, 2 * m)
 
@@ -66,15 +65,13 @@ def lambda_even_closed(m: int) -> PiPoly:
 def beta_odd_closed(m: int) -> PiPoly:
     """beta(2m-1) = A_{2m-2} (pi/2)^{2m-1} / (2 (2m-2)!) as an exact pi-polynomial,
     A_{2m-2} being a secant number read from the up/down table."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_order(m, "m")
     coeff = Fraction(up_down_number(2 * m - 2), 2 ** (2 * m) * factorial(2 * m - 2))
     return PiPoly.term(coeff, 2 * m - 1)
 
 
 def _terms_for_digits(digits: int) -> int:
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    _check_order(digits, "digits")
     # past ~250 terms the weight scale (3+sqrt8)^terms overflows a double,
     # and the truncation error is already far below denormal
     return min(math.ceil(1.32 * digits) + 4, 250)
@@ -141,13 +138,18 @@ def beta_numeric(s: float, digits: int = 15) -> EvalResult:
         raise ValueError("beta(s) requires finite s > 0")
     n = _terms_for_digits(digits)
     value = _accelerated_alternating(2.0, s, n)
-    err = 4.0 * _ACCEL_RATE ** (-n) + 16.0 * _EPS * abs(value)
-    return EvalResult(value, err, "accelerated_series", n)
+    return EvalResult(value, _beta_error(value, n), "accelerated_series", n)
 
 
-def _beta_even(n: int, digits: int) -> tuple[list[float], float, int]:
-    """beta(2n), beta(2n-2), ..., beta(2) as `beta_numeric` sums them, with
-    the truncation bound 4 (3+sqrt 8)^-terms of each and the term count."""
+def _beta_error(value: float, terms: int) -> float:
+    """The error estimate of a beta value summed with `terms` terms: the
+    truncation bound 4 (3+sqrt 8)^-terms plus 16 ulp of the value."""
+    return 4.0 * _ACCEL_RATE ** (-terms) + 16.0 * _EPS * abs(value)
+
+
+def _beta_even(n: int, digits: int) -> tuple[list[tuple[float, float]], int]:
+    """beta(2n), beta(2n-2), ..., beta(2) as `beta_numeric` sums them, each
+    as a pair (value, error estimate), and the term count."""
     terms = _terms_for_digits(digits)
     values = [_accelerated_alternating(2.0, 2 * n - 2 * k, terms) for k in range(n)]
-    return values, 4.0 * _ACCEL_RATE ** (-terms), terms
+    return [(b, _beta_error(b, terms)) for b in values], terms

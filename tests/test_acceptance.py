@@ -1,21 +1,17 @@
 """Acceptance suite: every criterion at its stated tolerance and time budget.
 
 Each test prints one `criterion N: PASS/FAIL` line (visible with -s or -rA)
-and then asserts, so a red test pinpoints the violated criterion.
+and then asserts, so a red test pinpoints the violated criterion.  Criteria
+with a verification suite read their reports from `cli.suite_reports`, the
+catalogue behind `verify`, and their time budget covers that call.
 """
 
 import math
-import random
 import time
 
+from dirichlet_j.cli import suite_reports
 from dirichlet_j.exact import euler_numbers
-from dirichlet_j.identities import (
-    check_collapse,
-    check_fourier,
-    check_remark1,
-    check_theorem1,
-    check_theorem2,
-)
+from dirichlet_j.identities import check_theorem1
 from dirichlet_j.jfun import (
     j_closed_even,
     j_closed_odd,
@@ -23,7 +19,6 @@ from dirichlet_j.jfun import (
     j_quadrature,
     j_riemann_sum,
 )
-from dirichlet_j.linalg import check_involution, csc_taylor_check, log_tan_series, trig_sum_check
 from dirichlet_j.special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
 
@@ -76,19 +71,25 @@ def test_criterion_3_j_cross_method():
     assert _report(3, ok, elapsed, 30.0, f"worst pairwise |diff| {worst:.2e} (<= 1e-9)")
 
 
-def test_criterion_4_theorem2_examples():
+def _timed(*calls):
+    """The reports of suite_reports(suite, **options) for each (suite, options),
+    concatenated, and the seconds they took."""
     start = time.perf_counter()
-    diffs = [check_theorem2(m, tol=1e-10) for m in range(1, 5)]
-    ok = all(r.passed for r in diffs)
+    reports = [r for suite, options in calls for r in suite_reports(suite, **options)]
+    return reports, time.perf_counter() - start
+
+
+def test_criterion_4_theorem2_examples():
+    diffs, elapsed = _timed(("thm2", {"range": (1, 4), "tol": 1e-10}))
+    ok = len(diffs) == 4 and all(r.passed for r in diffs)
     worst = max(r.abs_diff for r in diffs)
-    elapsed = time.perf_counter() - start
     assert _report(4, ok, elapsed, 10.0, f"beta(2..8) identities, worst |diff| {worst:.2e}")
 
 
 def test_criterion_5_theorem1_proof_form_and_typo():
     start = time.perf_counter()
-    proof = [check_theorem1(m, tol=1e-10) for m in range(1, 6)]
-    ok = all(r.passed for r in proof)
+    proof = suite_reports("thm1", range=(1, 5), tol=1e-10)
+    ok = len(proof) == 5 and all(r.passed for r in proof)
     literal = check_theorem1(2, tol=1e-3, use_proof_form=False)
     ok &= (not literal.passed) and literal.abs_diff > 1e-3
     elapsed = time.perf_counter() - start
@@ -103,60 +104,44 @@ def test_criterion_5_theorem1_proof_form_and_typo():
 
 
 def test_criterion_6_remark1_exact():
-    start = time.perf_counter()
-    ok = True
-    for m in range(1, 21):
-        a, b = check_remark1(m)
-        ok &= a.passed and b.passed and a.abs_diff == 0.0 and b.abs_diff == 0.0
-    elapsed = time.perf_counter() - start
+    reports, elapsed = _timed(("remark1", {"range": (1, 20)}))
+    ok = len(reports) == 40 and all(r.passed and r.abs_diff == 0.0 for r in reports)
     assert _report(6, ok, elapsed, 5.0, "both identities exactly equal for m = 1..20")
 
 
 def test_criterion_6_remark1_exact_to_m100():
-    start = time.perf_counter()
-    ok = all(a.passed and b.passed for a, b in map(check_remark1, range(1, 101)))
-    elapsed = time.perf_counter() - start
+    reports, elapsed = _timed(("remark1", {"range": (1, 100)}))
+    ok = len(reports) == 200 and all(r.passed for r in reports)
     assert _report(6, ok, elapsed, 5.0, "both identities exactly equal for m = 1..100")
 
 
 def test_criterion_7_collapse_exact():
-    start = time.perf_counter()
-    ok = True
-    for m in range(1, 9):
-        for r in check_collapse(m):
-            _, q = r.params
-            if q % 2 == 0:
-                ok &= r.passed and r.lhs.is_zero
-            else:
-                ok &= r.passed and not r.lhs.is_zero
-    elapsed = time.perf_counter() - start
+    reports, elapsed = _timed(("collapse", {"range": (1, 8)}))
+    ok = len(reports) == sum(2 * m for m in range(1, 9))
+    for r in reports:
+        _, q = r.params
+        if q % 2 == 0:
+            ok &= r.passed and r.lhs.is_zero
+        else:
+            ok &= r.passed and not r.lhs.is_zero
     assert _report(7, ok, elapsed, 5.0, "even-q coefficients vanish, odd-q match beta, m = 1..8")
 
 
 def test_criterion_8_involutions():
-    start = time.perf_counter()
-    ok = True
-    worst = 0.0
-    for n in (1, 2, 4, 8, 16, 32, 64):
-        for kind in ("sine", "cosine"):
-            r = check_involution(n, kind, tol=n * 1e-13)
-            ok &= r.passed
-            worst = max(worst, r.abs_diff / n)
-    elapsed = time.perf_counter() - start
+    reports, elapsed = _timed(("lemmas", {}))
+    # check_involution's default tolerance is n * 1e-13
+    involutions = [r for r in reports if r.identity_id in ("lemma3", "lemma4")]
+    ok = len(involutions) == 14 and {r.params[0] for r in involutions} == {1, 2, 4, 8, 16, 32, 64}
+    ok &= all(r.passed and r.tol == r.params[0] * 1e-13 for r in involutions)
+    worst = max(r.abs_diff / r.params[0] for r in involutions)
     assert _report(8, ok, elapsed, 5.0, f"worst scaled deviation {worst:.2e} (<= 1e-13)")
 
 
 def test_criterion_9_trig_sums_random():
-    start = time.perf_counter()
-    rng = random.Random(0x5EED)
-    ok = True
-    for variant in ("1_cos", "1_sin", "2_altcos"):
-        for _ in range(100):
-            n = rng.randint(1, 50)
-            x = rng.uniform(0.05, math.pi / 2 - 0.05)
-            r = trig_sum_check(variant, n, x)
-            ok &= r.passed and r.abs_diff <= n * 1e-13
-    elapsed = time.perf_counter() - start
+    # the lemmas suite draws its cases from random.Random(seed)
+    reports, elapsed = _timed(("lemmas", {"seed": 0x5EED}))
+    sums = [r for r in reports if r.identity_id in ("lemma1_cos", "lemma1_sin", "lemma2")]
+    ok = len(sums) == 300 and all(r.passed and r.abs_diff <= r.params[0] * 1e-13 for r in sums)
     assert _report(9, ok, elapsed, 1.0, "3 x 100 seeded cases within n*1e-13")
 
 
@@ -175,32 +160,17 @@ def test_criterion_10_riemann_convergence():
 
 
 def test_criterion_11_series_expansions():
-    start = time.perf_counter()
-    ok = csc_taylor_check(8).passed
-
-    deep_terms = 10**6
-    for case_x in (1.0, math.pi / 3):
-        partial = log_tan_series(case_x, deep_terms)
-        closed = -0.5 * math.log(math.tan(case_x / 2.0))
-        ok &= abs(partial - closed) <= 1e-5
-
-    for i in range(16):
-        x = i * (math.pi / 2) / 15
-        ok &= check_fourier("sine", 1, x, deep_terms, tol=1e-5).passed
-    for m in (1, 2, 3):
-        for x in (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2):
-            ok &= check_fourier("sine", m, x, deep_terms, tol=1e-5).passed
-            ok &= check_fourier("cosine", m, x, deep_terms, tol=1e-5).passed
-    elapsed = time.perf_counter() - start
+    # deep: csc Taylor coefficients, log-tan at 1e6 terms within 1e-5, and the
+    # Fourier series at 1e6 terms within 1e-5
+    reports, elapsed = _timed(("lemmas", {"deep": True}), ("fourier", {"deep": True}))
+    deep = [r for r in reports if r.identity_id in ("lemma7", "lemma8", "eq_a2", "eq_a3", "eq_a4")]
+    ok = len(deep) == 43 and all(r.passed for r in deep)
+    ok &= all(r.tol == 1e-5 for r in deep if r.identity_id != "lemma8")
 
     # default-scale rerun must fit the 10 s budget
-    start_default = time.perf_counter()
-    default_ok = csc_taylor_check(8).passed
-    for m in (1, 2, 3):
-        for x in (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2):
-            default_ok &= check_fourier("sine", m, x, 2 * 10**4, tol=1e-5).passed
-            default_ok &= check_fourier("cosine", m, x, 2 * 10**4, tol=1e-5).passed
-    default_elapsed = time.perf_counter() - start_default
+    reports, default_elapsed = _timed(("lemmas", {}), ("fourier", {}))
+    default = [r for r in reports if r.identity_id in ("lemma8", "eq_a2", "eq_a3", "eq_a4")]
+    default_ok = len(default) == 41 and all(r.passed for r in default)
 
     ok &= default_ok and default_elapsed < 10.0
     assert _report(

@@ -474,8 +474,9 @@ class TestWExpansion:
             w_expansion(-1)
 
     def test_warm_cache_keeps_argument_checks(self):
-        # an untyped cache would answer w_expansion(1.0) from the entry of True
-        assert w_expansion(2) is w_expansion(2) and w_expansion(True) == w_expansion(1)
-        for bad in (2.0, 1.0):
-            with pytest.raises(TypeError):
+        # a warm int entry never answers an equal bool or float
+        assert w_expansion.cache_parameters()["typed"]
+        assert w_expansion(1) is w_expansion(1) and w_expansion(2) is w_expansion(2)
+        for bad in (True, 1.0, 2.0):
+            with pytest.raises(ValueError, match=f"^m must be an integer >= 0, not {bad!r}$"):
                 w_expansion(bad)

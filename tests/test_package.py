@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dirichlet_j
-from dirichlet_j import identities, linalg
+from dirichlet_j import exact, identities, jfun, linalg, special
 from dirichlet_j.exact import PiPoly
 from dirichlet_j.identities import IdentityReport
 from dirichlet_j.jfun import WExpansion
@@ -209,34 +209,64 @@ def test_pipoly_is_immutable_and_copies():
 
 
 # ---------------------------------------------------------------------------
-# order arguments of the identity and lemma checks
+# integer arguments: orders, counts, digits and exponents
 # ---------------------------------------------------------------------------
 
+# per check: the argument's name, a call that takes it, and its least value
 ORDER_CHECKS = {
-    "check_theorem1": ("m", identities.check_theorem1),
-    "check_theorem2": ("m", identities.check_theorem2),
-    "check_theorem4": ("n", identities.check_theorem4),
-    "check_remark1": ("m", identities.check_remark1),
-    "check_collapse": ("m", identities.check_collapse),
-    "sine_value_poly_at_half_pi": ("m", identities.sine_value_poly_at_half_pi),
-    "cosine_value_poly_at_half_pi": ("m", identities.cosine_value_poly_at_half_pi),
-    "fourier_closed": ("m", lambda m: identities.fourier_closed("sine", m, 0.5)),
-    "check_fourier": ("m", lambda m: identities.check_fourier("cosine", m, 0.5, 10)),
-    "build_matrix": ("n", lambda n: linalg.build_matrix(n, "sine")),
-    "check_involution": ("n", lambda n: linalg.check_involution(n, "cosine")),
-    "trig_sum_check": ("n", lambda n: linalg.trig_sum_check("1_cos", n, 0.3)),
-    "csc_taylor_check": ("k_max", linalg.csc_taylor_check),
-    "fourier_partial": ("terms", lambda terms: identities.fourier_partial("sine", 3, 0.5, terms)),
-    "log_tan_series": ("terms", lambda terms: linalg.log_tan_series(0.5, terms)),
+    "check_theorem1": ("m", identities.check_theorem1, 1),
+    "check_theorem2": ("m", identities.check_theorem2, 1),
+    "check_theorem4": ("n", identities.check_theorem4, 1),
+    "check_remark1": ("m", identities.check_remark1, 1),
+    "check_collapse": ("m", identities.check_collapse, 1),
+    "sine_value_poly_at_half_pi": ("m", identities.sine_value_poly_at_half_pi, 1),
+    "cosine_value_poly_at_half_pi": ("m", identities.cosine_value_poly_at_half_pi, 1),
+    "fourier_closed": ("m", lambda m: identities.fourier_closed("sine", m, 0.5), 1),
+    "check_fourier": ("m", lambda m: identities.check_fourier("cosine", m, 0.5, 10), 1),
+    "build_matrix": ("n", lambda n: linalg.build_matrix(n, "sine"), 1),
+    "check_involution": ("n", lambda n: linalg.check_involution(n, "cosine"), 1),
+    "trig_sum_check": ("n", lambda n: linalg.trig_sum_check("1_cos", n, 0.3), 1),
+    "csc_taylor_check": ("k_max", linalg.csc_taylor_check, 1),
+    "fourier_partial": ("terms", lambda terms: identities.fourier_partial("sine", 3, 0.5, terms), 1),
+    "log_tan_series": ("terms", lambda terms: linalg.log_tan_series(0.5, terms), 1),
+    "pi_fraction": ("digits", exact.pi_fraction, 1),
+    "euler_numbers": ("count", exact.euler_numbers, 1),
+    "bernoulli_numbers": ("count", exact.bernoulli_numbers, 1),
+    "lambda_even_closed": ("m", special.lambda_even_closed, 1),
+    "beta_odd_closed": ("m", special.beta_odd_closed, 1),
+    "lambda_numeric": ("digits", lambda digits: special.lambda_numeric(3, digits), 1),
+    "beta_numeric": ("digits", lambda digits: special.beta_numeric(2, digits), 1),
+    "j_quadrature": ("digits", lambda digits: jfun.j_quadrature(1, digits), 1),
+    "j_euler_series": ("digits", lambda digits: jfun.j_euler_series(1, digits), 1),
+    "j_closed_odd": ("digits", lambda digits: jfun.j_closed_odd(2, digits), 1),
+    "j_closed_even": ("digits", lambda digits: jfun.j_closed_even(2, digits), 1),
+    "up_down_number": ("n", exact.up_down_number, 0),
+    "w_expansion": ("m", jfun.w_expansion, 0),
+    "PiPoly": ("exponent", lambda exp: PiPoly({exp: 1}), 0),
+    "PiPoly.term": ("exponent", lambda exp: PiPoly.term(1, exp), 0),
+    "PiPoly.evalf": ("digits", PiPoly.term(1, 1).evalf, 15),
 }
 
 
+def _assert_rejected(check, bad):
+    name, call, least = ORDER_CHECKS[check]
+    if bad is True and least <= 1:
+        call(1)  # a warm call with the equal int must not let True through
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, not {bad!r}$"):
+        call(bad)
+
+
 @pytest.mark.parametrize("order", [0, 1.5, True], ids=["zero", "float", "bool"])
-@pytest.mark.parametrize("check", sorted(ORDER_CHECKS))
+@pytest.mark.parametrize("check", sorted(c for c in ORDER_CHECKS if ORDER_CHECKS[c][2] == 1))
 def test_order_must_be_an_int_of_at_least_one(check, order):
-    name, call = ORDER_CHECKS[check]
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, not {order!r}$"):
-        call(order)
+    _assert_rejected(check, order)
+
+
+@pytest.mark.parametrize("case", ["below", "float", "bool"])
+@pytest.mark.parametrize("check", sorted(c for c in ORDER_CHECKS if ORDER_CHECKS[c][2] != 1))
+def test_argument_must_be_an_int_of_at_least_its_least(check, case):
+    least = ORDER_CHECKS[check][2]
+    _assert_rejected(check, {"below": least - 1, "float": least + 0.5, "bool": True}[case])
 
 
 @pytest.mark.parametrize("order", [1, 2.5, True], ids=["one", "float", "bool"])

@@ -89,13 +89,12 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("closed", [lambda_even_closed, beta_odd_closed])
     def test_warm_cache_keeps_argument_checks(self, closed):
-        # an untyped cache would answer closed(1.0) from the entry of True
-        assert closed(2) is closed(2) and closed(True) == closed(1)
-        for bad in (2.0, 1.0):
-            with pytest.raises(TypeError):
+        # a warm int entry never answers an equal bool or float
+        assert closed.cache_parameters()["typed"]
+        assert closed(1) is closed(1) and closed(2) is closed(2)
+        for bad in (True, 1.0, 2.0, 0):
+            with pytest.raises(ValueError, match=f"^m must be an integer >= 1, not {bad!r}$"):
                 closed(bad)
-        with pytest.raises(ValueError):
-            closed(0)
 
 
 class TestLambdaNumeric:
@@ -217,11 +216,11 @@ def test_kernel_matches_callable_form(step, s, terms):
 @pytest.mark.parametrize("n", [1, 2, 7, 85])
 @pytest.mark.parametrize("digits", [1, 15, 40, 400])
 def test_beta_even_matches_beta_numeric(n, digits):
-    values, trunc, terms = _beta_even(n, digits)
-    assert len(values) == n
-    for k, value in enumerate(values):
+    betas, terms = _beta_even(n, digits)
+    assert len(betas) == n
+    for k, (value, err) in enumerate(betas):
         b = beta_numeric(2 * n - 2 * k, digits)
-        assert (value, trunc + 16.0 * math.ulp(1.0) * abs(value), terms) == (b.value, b.error_estimate, b.work)
+        assert (value, err, terms) == (b.value, b.error_estimate, b.work)
     with pytest.raises(ValueError, match="digits"):
         _beta_even(n, 0)
 
