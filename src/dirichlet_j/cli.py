@@ -92,7 +92,7 @@ def emit_report(reports: Sequence[dj.IdentityReport], format: str = "text") -> s
     abs_diff, exact, pass; numbers are shortest round-trip floats and the
     non-finite ones the strings "inf", "-inf" and "nan".  csv: a header row
     with the same names, floats with 17 significant digits.  Exact sides
-    serialize as pi-polynomial strings.
+    serialize as pi-monomial strings.
     """
     if format in ("json", "csv"):
         rows = [(r.identity_id, r.params, r.lhs, r.rhs, r.abs_diff, r.exact, r.passed) for r in reports]

@@ -1,13 +1,14 @@
-"""Exact arithmetic substrate: pi-graded polynomials over the rationals,
-and the Euler and Bernoulli numbers, both read from one lazily grown integer
+"""Exact arithmetic substrate: monomials c * pi^e over the rationals, and
+the Euler and Bernoulli numbers, both read from one lazily grown integer
 table of up/down numbers A_n (sec t + tan t = sum_n A_n t^n / n!).
 
 Rationals are `fractions.Fraction` (always stored reduced, positive
-denominator). Constants such as lambda(2m) = (rational) * pi^{2m} live in
-:class:`PiPoly`, a polynomial in pi with Fraction coefficients and
-non-negative integer exponents.  Signed sums of PiPoly products go through
-one kernel, `_signed_product_sum`, which adds integers over a common
-denominator: one gcd per exponent instead of one per operation.
+denominator).  Every exact constant of the package is a rational multiple
+of one power of pi (lambda(2m) of pi^{2m}, beta(2m-1) of pi^{2m-1},
+(pi/2)^j / j! of pi^j), so :class:`PiPoly` is one monomial.  Signed sums of
+PiPoly products go through one kernel, `_signed_product_sum`, which adds
+integers over a common denominator: one gcd per sum instead of one per
+operation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Coeff = Union[int, Fraction]
 _setattr = object.__setattr__  # sets a slot past the guard of _Record.__setattr__
@@ -64,11 +65,6 @@ def _as_fraction(value: Coeff) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def _canonical(sums: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The stored form of a PiPoly: nonzero coefficients, sorted by exponent."""
-    return {e: c for e, c in sorted(sums.items()) if c}
-
-
 def _check_order(n: int, name: str = "n", least: int = 1) -> None:
     """Rejects an integer argument (an order, count, digit count or exponent),
     before any work, unless it is an int >= least (bool excluded)."""
@@ -109,29 +105,28 @@ class _Record:
 
 
 class PiPoly(_Record):
-    """Exact polynomial in pi: a map {exponent >= 0 -> nonzero Fraction}.
+    """Exact monomial coeff * pi^exp: a reduced Fraction and an integer
+    exponent >= 0.  Zero is stored with exponent 0, so `==` and the hash
+    compare values.
 
-    Values are immutable; arithmetic returns new instances and never stores
-    a zero coefficient, so `==` is canonical-form equality.
+    Every exact constant of the package is one such monomial, and so is
+    each side of the exact identities: a sum rejects mixed degrees.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("coeff", "exp")
 
-    def __init__(self, terms: Mapping[int, Coeff] | Iterable[tuple[int, Coeff]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        canon: dict[int, Fraction] = {}
-        for exp, coeff in items:
-            _check_order(exp, "exponent", 0)
-            c = _as_fraction(coeff)
-            canon[exp] = canon[exp] + c if exp in canon else c
-        _setattr(self, "_terms", _canonical(canon))
+    def __init__(self, coeff: Coeff = 0, exp: int = 0):
+        _check_order(exp, "exponent", 0)
+        c = _as_fraction(coeff)
+        self._assign(c, exp if c else 0)
 
     @classmethod
-    def _from_sums(cls, sums: dict[int, Fraction]) -> "PiPoly":
-        """Trusted constructor for arithmetic results, whose exponents and
-        Fraction coefficients need no validation."""
+    def _trusted(cls, coeff: Fraction, exp: int) -> "PiPoly":
+        """Constructor for arithmetic results, whose exponent and Fraction
+        coefficient need no validation."""
         poly = object.__new__(cls)
-        _setattr(poly, "_terms", _canonical(sums))
+        _setattr(poly, "coeff", coeff)
+        _setattr(poly, "exp", exp if coeff else 0)
         return poly
 
     @classmethod
@@ -140,52 +135,37 @@ class PiPoly(_Record):
 
     @classmethod
     def term(cls, coeff: Coeff, exp: int) -> "PiPoly":
-        _check_order(exp, "exponent", 0)
-        return cls._from_sums({exp: _as_fraction(coeff)})
+        return cls(coeff, exp)
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        return {self.exp: self.coeff} if self.coeff else {}
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.coeff
 
     def __add__(self, other: "PiPoly") -> "PiPoly":
         if not isinstance(other, PiPoly):
             return NotImplemented
-        merged = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            merged[exp] = merged[exp] + coeff if exp in merged else coeff
-        return PiPoly._from_sums(merged)
+        return _signed_product_sum(((1, self, _ONE), (1, other, _ONE)))
 
     def __sub__(self, other: "PiPoly") -> "PiPoly":
         if not isinstance(other, PiPoly):
             return NotImplemented
-        merged = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            merged[exp] = merged[exp] - coeff if exp in merged else -coeff
-        return PiPoly._from_sums(merged)
+        return _signed_product_sum(((1, self, _ONE), (-1, other, _ONE)))
 
     def __neg__(self) -> "PiPoly":
-        return PiPoly._from_sums({e: -c for e, c in self._terms.items()})
+        return PiPoly._trusted(-self.coeff, self.exp)
 
     def __mul__(self, other: Union["PiPoly", Coeff]) -> "PiPoly":
         if isinstance(other, PiPoly):
-            prod: dict[int, Fraction] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e, c = e1 + e2, c1 * c2
-                    prod[e] = prod[e] + c if e in prod else c
-            return PiPoly._from_sums(prod)
+            return PiPoly._trusted(self.coeff * other.coeff, self.exp + other.exp)
         if isinstance(other, (int, Fraction)):
-            return PiPoly._from_sums({e: c * other for e, c in self._terms.items()})
+            return PiPoly._trusted(self.coeff * other, self.exp)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
 
     def evalf(self, digits: int = 15) -> float:
         """Evaluate at pi to at least `digits` significant decimal digits.
@@ -195,58 +175,41 @@ class PiPoly(_Record):
         correctly rounded whenever digits >= 17.
         """
         _check_order(digits, "digits", 15)
-        if not self._terms:
-            return 0.0
-        pi_f = pi_fraction(digits + 8)
-        total = Fraction(0)
-        power = Fraction(1)
-        prev_exp = 0
-        for exp, coeff in self._terms.items():
-            power *= pi_f ** (exp - prev_exp)
-            prev_exp = exp
-            total += coeff * power
-        return float(total)
+        return float(self.coeff * pi_fraction(digits + 8) ** self.exp)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for exp, coeff in self._terms.items():
-            if exp == 0:
-                parts.append(str(coeff))
-            else:
-                base = "pi" if exp == 1 else f"pi^{exp}"
-                if coeff == 1:
-                    parts.append(base)
-                elif coeff == -1:
-                    parts.append(f"-{base}")
-                else:
-                    parts.append(f"{coeff}*{base}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        if not self.exp:
+            return str(self.coeff)
+        base = "pi" if self.exp == 1 else f"pi^{self.exp}"
+        return base if self.coeff == 1 else f"-{base}" if self.coeff == -1 else f"{self.coeff}*{base}"
 
     def __repr__(self) -> str:
         return f"PiPoly({self})"
 
 
+_ONE = PiPoly(1)
+
+
 def _signed_product_sum(triples: Iterable[tuple[int, PiPoly, PiPoly]]) -> PiPoly:
-    """sum sign * a * b over (sign, a, b) triples, exactly: per exponent, the
-    products' integer numerators are added over one common denominator
-    (math.lcm), so each coefficient takes one Fraction reduction instead of
-    one per product and per addition."""
-    parts: dict[int, list[tuple[int, int]]] = {}
+    """sum sign * a * b over (sign, a, b) triples, exactly: the products'
+    integer numerators are added over one common denominator (math.lcm), so
+    the sum takes one Fraction reduction instead of one per product and per
+    addition.  Raises ValueError if two nonzero products differ in degree."""
+    degree = None
+    pairs: list[tuple[int, int]] = []
     for sign, a, b in triples:
-        for e1, c1 in a._terms.items():
-            for e2, c2 in b._terms.items():
-                pair = (sign * c1.numerator * c2.numerator, c1.denominator * c2.denominator)
-                parts.setdefault(e1 + e2, []).append(pair)
-    sums: dict[int, Fraction] = {}
-    for e, pairs in parts.items():
-        den = lcm(*(d for _, d in pairs))
-        sums[e] = Fraction(sum(n * (den // d) for n, d in pairs), den)
-    return PiPoly._from_sums(sums)
+        num = a.coeff.numerator * b.coeff.numerator
+        if num:
+            exp = a.exp + b.exp
+            if degree is None:
+                degree = exp
+            elif exp != degree:
+                raise ValueError(f"a sum of pi^{degree} and pi^{exp} is not a monomial")
+            pairs.append((sign * num, a.coeff.denominator * b.coeff.denominator))
+    if degree is None:
+        return PiPoly()
+    den = lcm(*(d for _, d in pairs))
+    return PiPoly._trusted(Fraction(sum(n * (den // d) for n, d in pairs), den), degree)
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,7 @@
 
 Numeric checks compare independently computed sides and pass when the
 discrepancy is below an explicit tolerance; exact checks are equalities of
-canonical pi-polynomials and pass only on identical terms (zero tolerance).
+monomials c * pi^e and pass only on identical values (zero tolerance).
 
 Identity catalog (ids used in reports and by the CLI):
   thm1       lambda(2m+1) = sum_{k=1..m} (-1)^{k-1} lambda(2m-2k+2) J(2k-1)
@@ -16,7 +16,7 @@ Identity catalog (ids used in reports and by the CLI):
   eq_a3      sine series of order 2m+1 vs its polynomial closed form
   eq_a4      cosine series of order 2m vs its polynomial closed form
   collapse   coefficients of J(q) in the beta(2m) expansion: even q collapse
-             to the zero polynomial, odd q to beta closed forms (exact)
+             to zero, odd q to beta closed forms (exact)
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import factorial
 from typing import Literal, Union
 
 from .exact import PiPoly, _check_order, _half_pi_term, _Record, _signed_product_sum
-from .jfun import j_closed_even, j_closed_odd, j_quadrature, w_expansion
+from .jfun import j_closed_even, j_closed_odd, j_quadrature
 from .special import EvalResult, beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
 __all__ = [
@@ -173,7 +173,7 @@ def _at_half_pi(terms: list[tuple[int, PiPoly, int]]) -> PiPoly:
 def sine_value_poly_at_half_pi(m: int) -> PiPoly:
     """Exact value of the order-(2m+1) sine series closed form at x = pi/2.
 
-    Equals beta(2m+1) as a pi-polynomial.
+    Equals beta(2m+1) as a pi-monomial.
     """
     _check_order(m, "m")
     return _at_half_pi(_closed_form_terms("sine", m))
@@ -182,7 +182,7 @@ def sine_value_poly_at_half_pi(m: int) -> PiPoly:
 def cosine_value_poly_at_half_pi(m: int) -> PiPoly:
     """Exact value of the order-2m cosine series closed form at x = pi/2.
 
-    Collapses to the zero polynomial.
+    Collapses to zero.
     """
     _check_order(m, "m")
     return _at_half_pi(_closed_form_terms("cosine", m))
@@ -208,18 +208,19 @@ def check_collapse(m: int) -> list[IdentityReport]:
     """Exact coefficient collapse in the beta(2m) expansion over J(0..2m-1).
 
     beta(2m) is the order-2m cosine closed form with each x^e/e! replaced by
-    its divergent companion W(e) (see `w_expansion`), so the coefficient C_q
-    of J(q) sums each part's coefficient times the coefficient of J(q) in
-    its W(e), over the parts with e >= q.
+    its divergent companion W(e), whose coefficient of J(q) is
+    (-1)^q (pi/2)^{e-q} / (e-q)!; so the coefficient C_q of J(q) sums each
+    part's coefficient times that of J(q) in its W(e), over the parts with
+    e >= q.
 
-    Even q: C_q equals the cosine closed-form value at pi/2, i.e. the zero
-    polynomial.  Odd q = 2k-1: C_q equals (-1)^{k-1} beta(2m-2k+1).
+    Even q: C_q equals the cosine closed-form value at pi/2, i.e. zero.
+    Odd q = 2k-1: C_q equals (-1)^{k-1} beta(2m-2k+1).
     """
     _check_order(m, "m")
-    parts = [(sign, coeff, w_expansion(e)) for sign, coeff, e in _closed_form_terms("cosine", m)]
+    parts = _closed_form_terms("cosine", m)
     reports = []
     for q in range(2 * m):
-        coeff = _signed_product_sum((sign, c, w.coefficients[q]) for sign, c, w in parts if q <= w.order)
+        coeff = _signed_product_sum(((-1) ** q * sign, c, _half_pi_term(e - q)) for sign, c, e in parts if q <= e)
         k = (q + 1) // 2
         expected = PiPoly.zero() if q % 2 == 0 else (-1) ** (k - 1) * beta_odd_closed(m - k + 1)
         reports.append(_exact_report("collapse", (m, q), coeff, expected))

@@ -10,9 +10,10 @@ Routes:
   * finite midpoint Riemann sums (diagnostic approximant);
   * closed forms at integer arguments assembled from beta/lambda values.
 
-The divergent companion expansion (the same limit with cos in place of sin)
-is never evaluated numerically; only its exact expansion coefficients in the
-J(k) are produced, for use by the exact identity checks.
+The divergent companion W(m) (the same limit with cos in place of sin) is
+never evaluated numerically: its coefficient of J(k) is
+(-1)^k (pi/2)^{m-k} / (m-k)!, which `identities.check_collapse` reads from
+the exact (pi/2)^j / j! table.
 """
 
 from __future__ import annotations
@@ -21,18 +22,16 @@ import math
 from functools import lru_cache
 from math import factorial
 
-from .exact import PiPoly, _check_order, _half_pi_term, _Record, euler_numbers
+from .exact import _check_order, _half_pi_term, euler_numbers
 from .special import EvalResult, _beta_even, lambda_numeric
 
 __all__ = [
     "ConvergenceError",
-    "WExpansion",
     "j_quadrature",
     "j_euler_series",
     "j_riemann_sum",
     "j_closed_odd",
     "j_closed_even",
-    "w_expansion",
 ]
 
 _EPS = math.ulp(1.0)
@@ -297,24 +296,3 @@ def j_closed_even(n: int, digits: int = 15) -> EvalResult:
                    - sum_{k=0}^{n-1} (-1)^k beta(2n-2k) (pi/2)^{2k+1} / (2k+1)!].
     """
     return _theorem4(n, 1, digits)
-
-
-class WExpansion(_Record):
-    """Exact expansion coefficients of the divergent cosine-denominator
-    companion of J at integer order m in terms of J(0..m):
-    coefficient of J(k) is (-1)^k (pi/2)^{m-k} / (m-k)!.
-
-    Symbolic bookkeeping only; neither the companion nor J(0) is a number.
-    """
-
-    __slots__ = ("order", "coefficients")
-
-    def __init__(self, order: int, coefficients: tuple[PiPoly, ...] = ()):
-        self._assign(order, coefficients)
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: see special.lambda_even_closed
-def w_expansion(m: int) -> WExpansion:
-    _check_order(m, "m", 0)
-    coeffs = tuple(-_half_pi_term(m - k) if k % 2 else _half_pi_term(m - k) for k in range(m + 1))
-    return WExpansion(order=m, coefficients=coeffs)

@@ -3,7 +3,7 @@
 Numeric evaluation for real arguments uses Chebyshev-weighted acceleration
 of the underlying alternating series (geometric error decay, so ~1.32
 terms per requested decimal digit).  The classical closed forms at even
-lambda / odd beta integer orders are produced exactly as pi-polynomials.
+lambda / odd beta integer orders are produced exactly as pi-monomials.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class EvalResult(_Record):
 # (ValueError), never matches the entry of an equal int that passed them.
 @lru_cache(maxsize=None, typed=True)
 def lambda_even_closed(m: int) -> PiPoly:
-    """lambda(2m) = A_{2m-1} pi^{2m} / (2^{2m+1} (2m-1)!) as an exact pi-polynomial,
+    """lambda(2m) = A_{2m-1} pi^{2m} / (2^{2m+1} (2m-1)!) as an exact pi-monomial,
     A_{2m-1} being a tangent number read from the up/down table."""
     _check_order(m, "m")
     coeff = Fraction(up_down_number(2 * m - 1), 2 ** (2 * m + 1) * factorial(2 * m - 1))
@@ -63,7 +63,7 @@ def lambda_even_closed(m: int) -> PiPoly:
 
 @lru_cache(maxsize=None, typed=True)
 def beta_odd_closed(m: int) -> PiPoly:
-    """beta(2m-1) = A_{2m-2} (pi/2)^{2m-1} / (2 (2m-2)!) as an exact pi-polynomial,
+    """beta(2m-1) = A_{2m-2} (pi/2)^{2m-1} / (2 (2m-2)!) as an exact pi-monomial,
     A_{2m-2} being a secant number read from the up/down table."""
     _check_order(m, "m")
     coeff = Fraction(up_down_number(2 * m - 2), 2 ** (2 * m) * factorial(2 * m - 2))

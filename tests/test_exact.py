@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import hypothesis.strategies as st
 
 from dirichlet_j.exact import (
     PiPoly,
+    _ONE,
     _half_pi_term,
     _signed_product_sum,
     bernoulli_numbers,
@@ -112,7 +114,17 @@ class TestPiFraction:
 coeffs = st.fractions(
     min_value=-100, max_value=100, max_denominator=100
 )
-polys = st.dictionaries(st.integers(min_value=0, max_value=8), coeffs, max_size=5).map(PiPoly)
+exps = st.integers(min_value=0, max_value=8)
+polys = st.builds(PiPoly, coeffs, exps)
+
+
+def _of_degree(exp):
+    return st.builds(PiPoly, coeffs, st.just(exp))
+
+
+# monomials of one shared degree, which a sum requires
+same_degree_pairs = exps.flatmap(lambda e: st.tuples(_of_degree(e), _of_degree(e)))
+same_degree_triples = exps.flatmap(lambda e: st.tuples(_of_degree(e), _of_degree(e), _of_degree(e)))
 
 
 class TestPiPoly:
@@ -132,28 +144,50 @@ class TestPiPoly:
     def test_no_zero_terms_stored(self):
         p = PiPoly.term(1, 3) - PiPoly.term(1, 3)
         assert p.terms == {}
+        assert (p.coeff, p.exp) == (0, 0)
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            PiPoly({-1: Fraction(1)})
         for exp in (-1, 1.5):
+            with pytest.raises(ValueError):
+                PiPoly(1, exp)
             with pytest.raises(ValueError):
                 PiPoly.term(1, exp)
 
     def test_immutable(self):
         p = PiPoly.term(1, 1)
         with pytest.raises(AttributeError):
-            p._terms = {}
+            p.coeff = Fraction(2)
         p.terms[5] = Fraction(1)
         assert p == PiPoly.term(1, 1)
 
     def test_str_forms(self):
         assert str(PiPoly.zero()) == "0"
         assert str(PiPoly.term(Fraction(1, 8), 2)) == "1/8*pi^2"
-        assert str(PiPoly.term(1, 1) - PiPoly.term(2, 0)) == "-2 + pi"
+        assert str(PiPoly.term(-2, 0)) == "-2"
+        assert str(PiPoly.term(1, 1)) == "pi"
+        assert str(-PiPoly.term(1, 3)) == "-pi^3"
+        assert str(PiPoly.term(Fraction(-3, 4), 1)) == "-3/4*pi"
 
-    @given(polys, polys)
-    def test_addition_commutes(self, a, b):
+    def test_mixed_degrees_rejected(self):
+        a, b = PiPoly.term(Fraction(1, 3), 2), PiPoly.term(5, 3)
+        for call in (lambda: a + b, lambda: a - b, lambda: _signed_product_sum([(1, a, _ONE), (-1, b, _ONE)])):
+            with pytest.raises(ValueError, match=r"pi\^2 and pi\^3"):
+                call()
+        # a zero term has no degree, so it adds to any monomial
+        assert a + PiPoly.zero() == a and PiPoly.zero() - b == -b
+
+    def test_zero_is_canonical(self):
+        zero = PiPoly(0, 5)
+        assert zero == PiPoly.zero() and hash(zero) == hash(PiPoly.zero())
+        assert zero.exp == 0 and str(zero) == "0"
+        assert PiPoly.term(3, 4) * 0 == PiPoly.zero() and (PiPoly.term(3, 4) * 0).exp == 0
+        for p in (PiPoly.term(Fraction(-5, 6), 7), zero):
+            back = pickle.loads(pickle.dumps(p))
+            assert back == p and hash(back) == hash(p) and str(back) == str(p)
+
+    @given(same_degree_pairs)
+    def test_addition_commutes(self, pair):
+        a, b = pair
         assert a + b == b + a
 
     @given(polys, polys)
@@ -161,28 +195,31 @@ class TestPiPoly:
         assert a * b == b * a
 
     @settings(max_examples=60)
-    @given(polys, polys, polys)
-    def test_associativity(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
+    @given(same_degree_triples, polys, polys)
+    def test_associativity(self, triple, a, b):
+        x, y, z = triple
+        assert (x + y) + z == x + (y + z)
+        assert (a * b) * x == a * (b * x)
 
     @settings(max_examples=60)
-    @given(polys, polys, polys)
-    def test_distributivity(self, a, b, c):
+    @given(polys, same_degree_pairs)
+    def test_distributivity(self, a, pair):
+        b, c = pair
         assert a * (b + c) == a * b + a * c
 
-    @given(polys, polys, st.one_of(st.integers(-5, 5), coeffs))
-    def test_arithmetic_matches_public_constructor(self, a, b, k):
-        # every result equals PiPoly(...) over the same term sums, which
-        # validates and re-canonicalises each coefficient
-        a_items, b_items = list(a.terms.items()), list(b.terms.items())
+    @given(same_degree_pairs, polys, st.one_of(st.integers(-5, 5), coeffs))
+    def test_arithmetic_matches_public_constructor(self, pair, c, k):
+        # every result equals PiPoly(coeff, exp), which validates the
+        # exponent and stores zero at exponent 0
+        a, b = pair
+        degree = a.exp or b.exp  # a zero monomial has exponent 0
         cases = [
-            (a + b, PiPoly(a_items + b_items)),
-            (a - b, PiPoly(a_items + [(e, -c) for e, c in b_items])),
-            (-a, PiPoly([(e, -c) for e, c in a_items])),
-            (a * b, PiPoly([(e1 + e2, c1 * c2) for e1, c1 in a_items for e2, c2 in b_items])),
-            (a * k, PiPoly([(e, c * k) for e, c in a_items])),
-            (k * a, PiPoly([(e, k * c) for e, c in a_items])),
+            (a + b, PiPoly(a.coeff + b.coeff, degree)),
+            (a - b, PiPoly(a.coeff - b.coeff, degree)),
+            (-a, PiPoly(-a.coeff, a.exp)),
+            (a * c, PiPoly(a.coeff * c.coeff, a.exp + c.exp)),
+            (a * k, PiPoly(a.coeff * k, a.exp)),
+            (k * a, PiPoly(k * a.coeff, a.exp)),
         ]
         for got, want in cases:
             assert got == want
@@ -194,22 +231,30 @@ class TestPiPoly:
 
     @given(polys)
     def test_coefficients_stay_reduced(self, a):
-        for c in (a * a + a).terms.values():
+        for c in (a * a + a * a * 3).terms.values():
             assert math.gcd(abs(c.numerator), c.denominator) == 1
             assert c.denominator > 0
 
 
-mixed_polys = st.dictionaries(
-    st.integers(min_value=0, max_value=8), st.one_of(st.integers(-50, 50), coeffs), max_size=4
-).map(PiPoly)
-signed_products = st.lists(st.tuples(st.sampled_from([1, -1]), mixed_polys, mixed_polys), max_size=8)
+def _signed_products(exp):
+    """(sign, a, b) triples whose products all have degree `exp`."""
+    factor = st.one_of(st.integers(-50, 50), coeffs)
+    pair = st.integers(0, exp).flatmap(
+        lambda e: st.tuples(st.builds(PiPoly, factor, st.just(e)), st.builds(PiPoly, factor, st.just(exp - e)))
+    )
+    return st.lists(st.tuples(st.sampled_from([1, -1]), pair).map(lambda t: (t[0], *t[1])), max_size=8)
+
+
+signed_products = st.integers(0, 8).flatmap(_signed_products)
 
 
 def _naive_signed_sum(triples):
-    acc = PiPoly.zero()
+    """The same sum folded in Fractions, one reduction per operation."""
+    total, exp = Fraction(0), 0
     for sign, a, b in triples:
-        acc = acc + (a * b if sign > 0 else -(a * b))
-    return acc
+        if a.coeff and b.coeff:
+            total, exp = total + sign * (a.coeff * b.coeff), a.exp + b.exp
+    return PiPoly(total, exp)
 
 
 class TestSignedProductSum:
@@ -221,19 +266,20 @@ class TestSignedProductSum:
         got = _signed_product_sum(iter(triples))
         want = _naive_signed_sum(triples)
         assert got == want and got.terms == want.terms and str(got) == str(want)
-        assert list(got.terms) == sorted(got.terms)
-        for c in got.terms.values():
-            assert isinstance(c, Fraction) and c and math.gcd(c.numerator, c.denominator) == 1
+        c = got.coeff
+        assert isinstance(c, Fraction) and math.gcd(c.numerator, c.denominator) == 1
         if cancel:
             assert got.is_zero and got == PiPoly.zero()
 
     def test_empty_and_multi_term(self):
         assert _signed_product_sum([]) == PiPoly.zero()
-        a = PiPoly({0: 1, 2: Fraction(1, 3)})
-        b = PiPoly({1: Fraction(-1, 2), 2: 5})
-        # (1 + pi^2/3)(-pi/2 + 5 pi^2) - (pi^2/3)(5 pi^2) = -pi/2 + 5 pi^2 - pi^3/6
-        got = _signed_product_sum([(1, a, b), (-1, PiPoly.term(Fraction(1, 3), 2), PiPoly.term(5, 2))])
-        assert got == PiPoly({1: Fraction(-1, 2), 2: 5, 3: Fraction(-1, 6)})
+        a = PiPoly.term(Fraction(1, 3), 2)
+        b = PiPoly.term(Fraction(-1, 2), 1)
+        # (pi^2/3)(-pi/2) - (-pi/2)(5 pi^2) + (3/4)(2 pi^3) = (-1/6 + 5/2 + 3/2) pi^3
+        got = _signed_product_sum(
+            [(1, a, b), (-1, b, PiPoly.term(5, 2)), (1, PiPoly.term(Fraction(3, 4), 0), PiPoly.term(2, 3))]
+        )
+        assert got == PiPoly.term(Fraction(23, 6), 3)
 
 
 class TestEvalf:
@@ -260,8 +306,9 @@ class TestEvalf:
             PiPoly.term(1, 1).evalf(10)
 
     @settings(max_examples=80)
-    @given(polys, polys)
-    def test_additive_within_two_ulp(self, a, b):
+    @given(same_degree_pairs)
+    def test_additive_within_two_ulp(self, pair):
+        a, b = pair
         left = (a + b).evalf(15)
         right = a.evalf(15) + b.evalf(15)
         scale = max(abs(left), abs(right), abs(a.evalf(15)), abs(b.evalf(15)), 1e-300)

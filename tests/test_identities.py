@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 import dirichlet_j
+from dirichlet_j import identities
+from dirichlet_j.cli import run
 from dirichlet_j.exact import PiPoly, _half_pi_term
 from dirichlet_j.identities import (
     check_collapse,
@@ -21,7 +23,6 @@ from dirichlet_j.identities import (
     fourier_partial,
     sine_value_poly_at_half_pi,
 )
-from dirichlet_j.jfun import w_expansion
 from dirichlet_j.special import beta_odd_closed, lambda_even_closed
 
 PI_CUBED_OVER_32 = 0.96894614625936938  # beta(3); mpmath mp.dps=30
@@ -160,7 +161,7 @@ class TestCollapse:
 
 
 class TestExactConstantCaches:
-    CACHES = (_half_pi_term, lambda_even_closed, beta_odd_closed, w_expansion)
+    CACHES = (_half_pi_term, lambda_even_closed, beta_odd_closed)
 
     def _cold_reports(self, order):
         for cache in self.CACHES:
@@ -189,18 +190,18 @@ class TestExactConstantCaches:
 
     @staticmethod
     def _pipolys_built(monkeypatch, call):
-        """PiPolys made by arithmetic (every result goes through _from_sums)
+        """PiPolys made by arithmetic (every result goes through _trusted)
         during a warm call."""
         call()
         built = []
-        from_sums = PiPoly._from_sums.__func__
+        trusted = PiPoly._trusted.__func__
 
-        def counting(cls, sums):
-            built.append(len(sums))
-            return from_sums(cls, sums)
+        def counting(cls, coeff, exp):
+            built.append(exp)
+            return trusted(cls, coeff, exp)
 
         with monkeypatch.context() as patch:
-            patch.setattr(PiPoly, "_from_sums", classmethod(counting))
+            patch.setattr(PiPoly, "_trusted", classmethod(counting))
             call()
         return len(built)
 
@@ -213,6 +214,33 @@ class TestExactConstantCaches:
     def test_remark1_pipolys_do_not_grow_with_m(self, monkeypatch):
         counts = [self._pipolys_built(monkeypatch, lambda: check_remark1(m)) for m in (10, 60)]
         assert counts[0] == counts[1] <= 8
+
+
+class TestExactChecksCanFail:
+    """A closed form off by a relative 1e-9 must fail the exact suites."""
+
+    @pytest.fixture
+    def skewed_beta(self, monkeypatch):
+        exact_beta = identities.beta_odd_closed
+        monkeypatch.setattr(identities, "beta_odd_closed", lambda m: exact_beta(m) * (1 + Fraction(1, 10**9)))
+
+    def test_remark1_fails(self, skewed_beta):
+        for r in check_remark1(3):
+            assert r.exact and not r.passed and r.abs_diff > 0
+
+    def test_collapse_odd_rows_fail(self, skewed_beta):
+        odd = [r for r in check_collapse(3) if r.params[1] % 2]
+        # the top row q = 5 equates beta(1) with itself, so a scale shared
+        # by every beta leaves it passing; rows q = 1, 3 mix beta and lambda
+        *lower, top = odd
+        assert [r.params for r in lower] == [(3, 1), (3, 3)]
+        for r in lower:
+            assert r.exact and not r.passed and r.abs_diff > 0
+        assert top.passed
+
+    def test_verify_collapse_exits_1(self, skewed_beta, capsys):
+        assert run(["verify", "collapse", "--range", "1..3"]) == 1
+        assert "✗" in capsys.readouterr().out
 
 
 class TestFourierPartial:

@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dirichlet_j import jfun, special
-from dirichlet_j.exact import PiPoly, bernoulli_numbers, euler_numbers
+from dirichlet_j import identities, jfun, special
+from dirichlet_j.exact import PiPoly, _half_pi_term, bernoulli_numbers, euler_numbers
 from dirichlet_j.jfun import (
     ConvergenceError,
     _integrand,
@@ -19,7 +19,6 @@ from dirichlet_j.jfun import (
     j_euler_series,
     j_quadrature,
     j_riemann_sum,
-    w_expansion,
 )
 from dirichlet_j.special import beta_numeric, lambda_numeric
 
@@ -435,22 +434,24 @@ class TestCrossMethodAgreement:
             assert abs(a.value - b.value) <= allowed
 
 
+def w_expansion(m):
+    """The coefficients of J(0..m) in the divergent companion W(m), as
+    `identities.check_collapse` reads them: (-1)^k (pi/2)^{m-k} / (m-k)!."""
+    return tuple((-1) ** k * _half_pi_term(m - k) for k in range(m + 1))
+
+
 class TestWExpansion:
     def test_order_zero(self):
-        w = w_expansion(0)
-        assert w.order == 0
-        assert w.coefficients == (PiPoly.term(1, 0),)
+        assert w_expansion(0) == (PiPoly.term(1, 0),)
 
     def test_order_one(self):
-        w = w_expansion(1)
-        assert w.coefficients == (
+        assert w_expansion(1) == (
             PiPoly.term(Fraction(1, 2), 1),  # pi/2
             PiPoly.term(-1, 0),
         )
 
     def test_order_two(self):
-        w = w_expansion(2)
-        assert w.coefficients == (
+        assert w_expansion(2) == (
             PiPoly.term(Fraction(1, 8), 2),  # pi^2/8
             PiPoly.term(Fraction(-1, 2), 1),  # -pi/2
             PiPoly.term(1, 0),
@@ -458,8 +459,7 @@ class TestWExpansion:
 
     @pytest.mark.parametrize("m", range(0, 11))
     def test_top_coefficient_is_alternating_unit(self, m):
-        w = w_expansion(m)
-        assert w.coefficients[m] == PiPoly.term((-1) ** m, 0)
+        assert w_expansion(m)[m] == PiPoly.term((-1) ** m, 0)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 9])
     def test_general_coefficient(self, m):
@@ -467,16 +467,18 @@ class TestWExpansion:
         for k in range(m + 1):
             e = m - k
             expected = PiPoly.term(Fraction((-1) ** k, 2**e * math.factorial(e)), e)
-            assert w.coefficients[k] == expected
+            assert w[k] == expected
 
     def test_validation(self):
+        # J(q) has no coefficient in W(e) for q > e
         with pytest.raises(ValueError):
-            w_expansion(-1)
+            _half_pi_term(-1)
 
     def test_warm_cache_keeps_argument_checks(self):
-        # a warm int entry never answers an equal bool or float
-        assert w_expansion.cache_parameters()["typed"]
-        assert w_expansion(1) is w_expansion(1) and w_expansion(2) is w_expansion(2)
+        # the coefficients come from the per-degree (pi/2)^j / j! table; a
+        # warm collapse check, which reads them, still rejects a bool or float
+        check_collapse = identities.check_collapse
+        assert check_collapse(1) == check_collapse(1) and check_collapse(2) == check_collapse(2)
         for bad in (True, 1.0, 2.0):
-            with pytest.raises(ValueError, match=f"^m must be an integer >= 0, not {bad!r}$"):
-                w_expansion(bad)
+            with pytest.raises(ValueError, match=f"^m must be an integer >= 1, not {bad!r}$"):
+                check_collapse(bad)

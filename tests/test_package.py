@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ import dirichlet_j
 from dirichlet_j import exact, identities, jfun, linalg, special
 from dirichlet_j.exact import PiPoly
 from dirichlet_j.identities import IdentityReport
-from dirichlet_j.jfun import WExpansion
 from dirichlet_j.linalg import OddGridMatrix
 from dirichlet_j.special import EvalResult
 
@@ -113,10 +113,10 @@ RECORDS = {
         lambda: IdentityReport("thm1", (1,), 1.0, 1.0, 0.0, exact=False, passed=True, tol=1e-10),
         ("identity_id", "params", "lhs", "rhs", "abs_diff", "exact", "passed", "tol"),
     ),
-    "WExpansion": (
-        lambda: WExpansion(1, (PiPoly.term(1, 1), PiPoly.term(-1, 0))),
-        lambda: WExpansion(1),
-        ("order", "coefficients"),
+    "PiPoly": (
+        lambda: PiPoly(Fraction(-1, 2), 3),
+        lambda: PiPoly(Fraction(-1, 2), 2),
+        ("coeff", "exp"),
     ),
 }
 
@@ -159,7 +159,7 @@ def test_record_repr_names_class_and_fields():
     assert repr(EvalResult(1.0, 0.001, "quadrature", 5)) == (
         "EvalResult(value=1.0, error_estimate=0.001, method='quadrature', work=5)"
     )
-    assert repr(WExpansion(0)) == "WExpansion(order=0, coefficients=())"
+    assert repr(PiPoly(Fraction(-1, 2), 3)) == "PiPoly(-1/2*pi^3)"
     assert repr(IdentityReport("thm2", (1, 2), 1.0, 2.0, 1.0, exact=False, passed=False)) == (
         "IdentityReport(identity_id='thm2', params=(1, 2), lhs=1.0, rhs=2.0, abs_diff=1.0, "
         "exact=False, passed=False, tol=0.0)"
@@ -169,7 +169,7 @@ def test_record_repr_names_class_and_fields():
 
 def test_record_defaults_and_keywords():
     assert IdentityReport("x", (), 0.0, 0.0, 0.0, True, True).tol == 0.0
-    assert WExpansion(order=3).coefficients == ()
+    assert PiPoly() == PiPoly(coeff=0, exp=0) == PiPoly.zero() and PiPoly(exp=2).exp == 0
     assert EvalResult(value=2.0, error_estimate=0.0, method="closed_form", work=0).value == 2.0
 
 
@@ -198,11 +198,11 @@ def test_odd_grid_matrix_entries_read_only():
 
 
 def test_pipoly_is_immutable_and_copies():
-    p = PiPoly.term(3, 2) + PiPoly.term(1, 0)
+    p = PiPoly.term(3, 2) + PiPoly.term(1, 2)
     with pytest.raises(AttributeError, match="immutable"):
-        p._terms = {}
+        p.coeff = Fraction(0)
     with pytest.raises(AttributeError, match="immutable"):
-        del p._terms
+        del p.exp
     assert copy.copy(p) == p and pickle.loads(pickle.dumps(p)) == p
     assert hash(copy.deepcopy(p)) == hash(p)
     assert p != 3 and PiPoly.term(3, 0) != 3
@@ -241,8 +241,7 @@ ORDER_CHECKS = {
     "j_closed_odd": ("digits", lambda digits: jfun.j_closed_odd(2, digits), 1),
     "j_closed_even": ("digits", lambda digits: jfun.j_closed_even(2, digits), 1),
     "up_down_number": ("n", exact.up_down_number, 0),
-    "w_expansion": ("m", jfun.w_expansion, 0),
-    "PiPoly": ("exponent", lambda exp: PiPoly({exp: 1}), 0),
+    "PiPoly": ("exponent", lambda exp: PiPoly(1, exp), 0),
     "PiPoly.term": ("exponent", lambda exp: PiPoly.term(1, exp), 0),
     "PiPoly.evalf": ("digits", PiPoly.term(1, 1).evalf, 15),
 }
