@@ -10,8 +10,9 @@ Exit codes: 0 success (verify: all checks passed), 1 failed identity,
 2 usage error or unwritable -o path, 3 evaluator convergence failure.
 `compute lambda|beta --method closed` takes arguments up to CLOSED_MAX = 1000
 (the exact forms cost about s^3: 0.3 s at 1000); a larger one is a usage error.
-The environment variable DIRICHLET_J_DIGITS overrides the default digits (15);
-a value that is not an integer >= 15 is a usage error for every command.
+--digits (an integer >= 15, default 15) is the only precision setting.  The
+lambda/beta closed forms print the correctly rounded double at any --digits;
+the J closed forms use it only to size the lambda/beta series they sum.
 json and csv output go through the stdlib `json` and `csv` modules; json
 writes non-finite floats as the strings "inf", "-inf" and "nan".
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -228,7 +228,7 @@ def _compute(fn: str, s: float | int, method: str, digits: int) -> tuple[float, 
             raise ValueError(f"closed form for {fn} needs an {'odd' if odd else 'even'} integer argument >= {2 - odd}")
         if s > CLOSED_MAX:
             raise ValueError(f"closed form for {fn} needs an argument <= {CLOSED_MAX}")
-        return closed((s + odd) // 2).evalf(digits), "closed_form", None, 0
+        return closed((s + odd) // 2).evalf(), "closed_form", None, 0
 
     # J
     if method == "riemann":
@@ -292,9 +292,8 @@ def seed_type(text: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _build_parser(default_digits: int) -> argparse.ArgumentParser:
-    """The parser for one default digit count; built once and reused, since
-    parse_args leaves it unchanged."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once and reused, since parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dirichlet-j",
         description="Dirichlet lambda/beta values, the integral J(s), and identity verification.",
@@ -309,7 +308,7 @@ def _build_parser(default_digits: int) -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", "closed", "series", "quadrature", "euler_series", "riemann"],
     )
-    p_compute.add_argument("--digits", type=digits_type, default=default_digits)
+    p_compute.add_argument("--digits", type=digits_type, default=DEFAULT_DIGITS)
 
     p_verify = sub.add_parser("verify", help="run identity verification suites")
     p_verify.add_argument("suite", choices=[*SUITES, "all"])
@@ -324,7 +323,7 @@ def _build_parser(default_digits: int) -> argparse.ArgumentParser:
     p_table.add_argument("function", choices=["lambda", "beta", "J"])
     p_table.add_argument("--range", type=_parse_range, required=True, metavar="a..b")
     p_table.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    p_table.add_argument("--digits", type=digits_type, default=default_digits)
+    p_table.add_argument("--digits", type=digits_type, default=DEFAULT_DIGITS)
     p_table.add_argument("-o", "--output", default=None)
 
     return parser
@@ -344,15 +343,8 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    env_digits = os.environ.get("DIRICHLET_J_DIGITS")
     try:
-        default_digits = digits_type(env_digits) if env_digits else DEFAULT_DIGITS
-    except argparse.ArgumentTypeError:
-        sys.stderr.write(f"invalid DIRICHLET_J_DIGITS={env_digits!r}\n")
-        return 2
-    parser = _build_parser(default_digits)
-    try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 

@@ -129,21 +129,9 @@ class PiPoly(_Record):
         _setattr(poly, "exp", exp if coeff else 0)
         return poly
 
-    @classmethod
-    def zero(cls) -> "PiPoly":
-        return cls()
-
-    @classmethod
-    def term(cls, coeff: Coeff, exp: int) -> "PiPoly":
-        return cls(coeff, exp)
-
     @property
     def terms(self) -> dict[int, Fraction]:
         return {self.exp: self.coeff} if self.coeff else {}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeff
 
     def __add__(self, other: "PiPoly") -> "PiPoly":
         if not isinstance(other, PiPoly):
@@ -167,15 +155,12 @@ class PiPoly(_Record):
 
     __rmul__ = __mul__
 
-    def evalf(self, digits: int = 15) -> float:
-        """Evaluate at pi to at least `digits` significant decimal digits.
-
-        The value is computed exactly against :func:`pi_fraction` and only
-        rounded once on conversion to float, so the returned double is
-        correctly rounded whenever digits >= 17.
-        """
-        _check_order(digits, "digits", 15)
-        return float(self.coeff * pi_fraction(digits + 8) ** self.exp)
+    def evalf(self) -> float:
+        """The double nearest coeff * pi^exp: the product is taken exactly
+        against pi_fraction(_PI_DIGITS), which moves it by about exp * 3e-33
+        relative, and rounded once.  The tests check that this is the correctly
+        rounded double for the closed forms and the (pi/2)^j/j! table."""
+        return float(self.coeff * pi_fraction(_PI_DIGITS) ** self.exp)
 
     def __str__(self) -> str:
         if not self.exp:
@@ -188,6 +173,7 @@ class PiPoly(_Record):
 
 
 _ONE = PiPoly(1)
+_PI_DIGITS = 23  # the one precision at which the package reads pi_fraction
 
 
 def _signed_product_sum(triples: Iterable[tuple[int, PiPoly, PiPoly]]) -> PiPoly:
@@ -216,7 +202,7 @@ def _signed_product_sum(triples: Iterable[tuple[int, PiPoly, PiPoly]]) -> PiPoly
 def _half_pi_term(j: int) -> PiPoly:
     """(pi/2)^j / j! as an exact PiPoly, built once per j: the one table of
     these factors behind the closed forms, W(e) and the remark1 checks."""
-    return PiPoly.term(Fraction(1, 2**j * factorial(j)), j)
+    return PiPoly(Fraction(1, 2**j * factorial(j)), j)
 
 
 _up_down: list[int] = [1]  # A_0, A_1, ...

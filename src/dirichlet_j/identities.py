@@ -22,6 +22,7 @@ Identity catalog (ids used in reports and by the CLI):
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from math import factorial
 from typing import Literal, Union
 
@@ -48,6 +49,7 @@ Side = Union[float, PiPoly]
 Kind = Literal["sine", "cosine"]
 
 TOL_FLOOR = 1e-10
+_LEIBNIZ_BETA_1 = PiPoly(Fraction(1, 4), 1)  # beta(1) = pi/4 from Leibniz's series, not the closed forms
 
 
 class IdentityReport(_Record):
@@ -194,7 +196,7 @@ def check_remark1(m: int) -> tuple[IdentityReport, IdentityReport]:
     their beta(1) terms."""
     _check_order(m, "m")
     reports = []
-    cases = (("remark1_a", "cosine", PiPoly.zero()), ("remark1_b", "sine", beta_odd_closed(m + 1)))
+    cases = (("remark1_a", "cosine", PiPoly()), ("remark1_b", "sine", beta_odd_closed(m + 1)))
     for identity_id, kind, value in cases:
         *lambda_terms, (sign, beta1, e) = _closed_form_terms(kind, m)
         lhs = beta1 * _half_pi_term(e)
@@ -214,15 +216,20 @@ def check_collapse(m: int) -> list[IdentityReport]:
     e >= q.
 
     Even q: C_q equals the cosine closed-form value at pi/2, i.e. zero.
-    Odd q = 2k-1: C_q equals (-1)^{k-1} beta(2m-2k+1).
+    Odd q = 2k-1: C_q equals (-1)^{k-1} beta(2m-2k+1); the top row, q = 2m-1,
+    reads beta(1) from Leibniz's pi/4, since C_q there is the beta(1) of the
+    closed form itself.
     """
     _check_order(m, "m")
     parts = _closed_form_terms("cosine", m)
     reports = []
     for q in range(2 * m):
         coeff = _signed_product_sum(((-1) ** q * sign, c, _half_pi_term(e - q)) for sign, c, e in parts if q <= e)
-        k = (q + 1) // 2
-        expected = PiPoly.zero() if q % 2 == 0 else (-1) ** (k - 1) * beta_odd_closed(m - k + 1)
+        if q % 2 == 0:
+            expected = PiPoly()
+        else:
+            k = (q + 1) // 2
+            expected = (-1) ** (k - 1) * (beta_odd_closed(m - k + 1) if k < m else _LEIBNIZ_BETA_1)
         reports.append(_exact_report("collapse", (m, q), coeff, expected))
     return reports
 

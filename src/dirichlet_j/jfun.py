@@ -251,11 +251,11 @@ def j_riemann_sum(s: float, n: int) -> float:
     return float(np.sum(_integrand(x, s))) / (gamma * n)
 
 
-@lru_cache(maxsize=1024)
-def _half_pi_factor(j: int, digits: int) -> float:
-    """(pi/2)^j / j!, evaluated exactly at `digits` (>= 15) and rounded once;
-    a constant of the closed forms, shared by every argument."""
-    return _half_pi_term(j).evalf(digits)
+@lru_cache(maxsize=None)  # j = 2k + e < 170 by the domain check
+def _half_pi_factor(j: int) -> float:
+    """(pi/2)^j / j! as the correctly rounded double; a constant of the
+    closed forms, shared by every argument and digit count."""
+    return _half_pi_term(j).evalf()
 
 
 def _theorem4(n: int, e: int, digits: int) -> EvalResult:
@@ -271,10 +271,9 @@ def _theorem4(n: int, e: int, digits: int) -> EvalResult:
         lam = lambda_numeric(2 * n + 1, digits)
         acc, err, work = lam.value, lam.error_estimate, lam.work
     betas, terms = _beta_even(n, digits)
-    factor_digits = max(digits, 15)
     sign = 1.0
     for k, (b, b_err) in enumerate(betas):
-        factor = _half_pi_factor(2 * k + e, factor_digits)
+        factor = _half_pi_factor(2 * k + e)
         acc -= sign * b * factor
         err += b_err * factor
         sign = -sign

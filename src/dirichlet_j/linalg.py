@@ -139,8 +139,8 @@ def csc_taylor_check(k_max: int) -> IdentityReport:
     passed = derivatives == expected
     # show the first mismatch when failing, the top coefficient when passing
     idx = next((k for k in range(count) if derivatives[k] != expected[k]), k_max)
-    lhs = PiPoly.term(derivatives[idx], 0)
-    rhs = PiPoly.term(expected[idx], 0)
+    lhs = PiPoly(derivatives[idx])
+    rhs = PiPoly(expected[idx])
     try:
         diff = 0.0 if passed else abs(float(derivatives[idx] - expected[idx]))
     except OverflowError:

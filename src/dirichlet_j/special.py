@@ -58,7 +58,7 @@ def lambda_even_closed(m: int) -> PiPoly:
     A_{2m-1} being a tangent number read from the up/down table."""
     _check_order(m, "m")
     coeff = Fraction(up_down_number(2 * m - 1), 2 ** (2 * m + 1) * factorial(2 * m - 1))
-    return PiPoly.term(coeff, 2 * m)
+    return PiPoly(coeff, 2 * m)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -67,7 +67,7 @@ def beta_odd_closed(m: int) -> PiPoly:
     A_{2m-2} being a secant number read from the up/down table."""
     _check_order(m, "m")
     coeff = Fraction(up_down_number(2 * m - 2), 2 ** (2 * m) * factorial(2 * m - 2))
-    return PiPoly.term(coeff, 2 * m - 1)
+    return PiPoly(coeff, 2 * m - 1)
 
 
 def _terms_for_digits(digits: int) -> int:

@@ -121,9 +121,9 @@ def test_criterion_7_collapse_exact():
     for r in reports:
         _, q = r.params
         if q % 2 == 0:
-            ok &= r.passed and r.lhs.is_zero
+            ok &= r.passed and r.lhs.coeff == 0
         else:
-            ok &= r.passed and not r.lhs.is_zero
+            ok &= r.passed and r.lhs.coeff != 0
     assert _report(7, ok, elapsed, 5.0, "even-q coefficients vanish, odd-q match beta, m = 1..8")
 
 

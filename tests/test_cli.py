@@ -198,30 +198,27 @@ class TestCompute:
     def test_digits_below_floor_rejected(self):
         assert run(["compute", "J", "1", "--digits", "10"]) == 2
 
-    def test_env_var_digits(self, capout, monkeypatch):
-        monkeypatch.setenv("DIRICHLET_J_DIGITS", "16")
+    def test_environment_sets_no_digits(self, capout, monkeypatch):
+        # --digits is the only precision setting: no variable of the
+        # environment changes a value or fails a command that takes no digits
         assert run(["compute", "beta", "2"]) == 0
-        assert "0.915965594177219" in capout()
+        expected = capout()
+        monkeypatch.setenv("DIRICHLET_J_DIGITS", "many")
+        assert run(["compute", "beta", "2"]) == 0
+        assert capout() == expected
+        assert run(["verify", "thm2"]) == 0
 
-    def test_env_var_read_on_every_run(self, capout, monkeypatch):
-        expected = {}
-        for digits in ("15", "20"):
-            assert run(["compute", "beta", "2", "--digits", digits]) == 0
-            expected[digits] = capout()
-        assert expected["15"] != expected["20"]
-        monkeypatch.setenv("DIRICHLET_J_DIGITS", "20")
-        assert run(["compute", "beta", "2"]) == 0
-        assert capout() == expected["20"]
-        monkeypatch.delenv("DIRICHLET_J_DIGITS")
-        assert run(["compute", "beta", "2"]) == 0
-        assert capout() == expected["15"]
-
-    def test_env_var_invalid(self, monkeypatch, capsys):
-        for value in ("many", "10"):
-            monkeypatch.setenv("DIRICHLET_J_DIGITS", value)
-            for argv in (["compute", "beta", "2"], ["verify", "thm2"], ["table", "beta", "--range", "1..2"]):
-                assert run(argv) == 2
-                assert f"invalid DIRICHLET_J_DIGITS='{value}'" in capsys.readouterr().err
+    def test_closed_work_does_not_grow_with_digits(self, capout):
+        # the lambda/beta closed forms round once against a fixed pi, and the
+        # J closed forms cap their series terms: --digits changes no cost
+        assert run(["compute", "lambda", "2", "--method", "closed", "--digits", "15"]) == 0
+        expected = capout()
+        start = time.perf_counter()
+        assert run(["compute", "lambda", "2", "--method", "closed", "--digits", "200000"]) == 0
+        assert capout() == expected
+        assert run(["compute", "J", "170", "--method", "closed", "--digits", "2000"]) == 0
+        assert capout().startswith("J(170) = ")
+        assert time.perf_counter() - start < 2.0
 
 
 # sha256 of the stdout of these commands before the exact constants were
@@ -431,7 +428,7 @@ class TestEmitReport:
 
     def test_exact_csv_row(self):
         report = IdentityReport(
-            "remark1_a", (1,), PiPoly.term(1, 2), PiPoly.term(1, 2), 0.0, exact=True, passed=True
+            "remark1_a", (1,), PiPoly(1, 2), PiPoly(1, 2), 0.0, exact=True, passed=True
         )
         text = emit_report([report], "csv")
         lines = text.splitlines()

@@ -15,6 +15,7 @@ from dirichlet_j.exact import (
     euler_numbers,
     pi_fraction,
 )
+from dirichlet_j.special import beta_odd_closed, lambda_even_closed
 
 # reference: mpmath mp.dps=30
 PI_REF = Fraction(
@@ -129,20 +130,20 @@ same_degree_triples = exps.flatmap(lambda e: st.tuples(_of_degree(e), _of_degree
 
 class TestPiPoly:
     def test_like_term_addition(self):
-        two = PiPoly.term(2, 2)
-        three = PiPoly.term(3, 2)
-        assert two + three == PiPoly.term(5, 2)
+        two = PiPoly(2, 2)
+        three = PiPoly(3, 2)
+        assert two + three == PiPoly(5, 2)
 
     def test_multiplication(self):
-        a = PiPoly.term(Fraction(1, 4), 1)   # pi/4
-        b = PiPoly.term(Fraction(1, 8), 2)   # pi^2/8
-        assert a * b == PiPoly.term(Fraction(1, 32), 3)
+        a = PiPoly(Fraction(1, 4), 1)   # pi/4
+        b = PiPoly(Fraction(1, 8), 2)   # pi^2/8
+        assert a * b == PiPoly(Fraction(1, 32), 3)
 
     def test_scale_annihilation(self):
-        assert (PiPoly.term(1, 2) * 0).is_zero
+        assert PiPoly(1, 2) * 0 == PiPoly()
 
     def test_no_zero_terms_stored(self):
-        p = PiPoly.term(1, 3) - PiPoly.term(1, 3)
+        p = PiPoly(1, 3) - PiPoly(1, 3)
         assert p.terms == {}
         assert (p.coeff, p.exp) == (0, 0)
 
@@ -150,38 +151,36 @@ class TestPiPoly:
         for exp in (-1, 1.5):
             with pytest.raises(ValueError):
                 PiPoly(1, exp)
-            with pytest.raises(ValueError):
-                PiPoly.term(1, exp)
 
     def test_immutable(self):
-        p = PiPoly.term(1, 1)
+        p = PiPoly(1, 1)
         with pytest.raises(AttributeError):
             p.coeff = Fraction(2)
         p.terms[5] = Fraction(1)
-        assert p == PiPoly.term(1, 1)
+        assert p == PiPoly(1, 1)
 
     def test_str_forms(self):
-        assert str(PiPoly.zero()) == "0"
-        assert str(PiPoly.term(Fraction(1, 8), 2)) == "1/8*pi^2"
-        assert str(PiPoly.term(-2, 0)) == "-2"
-        assert str(PiPoly.term(1, 1)) == "pi"
-        assert str(-PiPoly.term(1, 3)) == "-pi^3"
-        assert str(PiPoly.term(Fraction(-3, 4), 1)) == "-3/4*pi"
+        assert str(PiPoly()) == "0"
+        assert str(PiPoly(Fraction(1, 8), 2)) == "1/8*pi^2"
+        assert str(PiPoly(-2, 0)) == "-2"
+        assert str(PiPoly(1, 1)) == "pi"
+        assert str(-PiPoly(1, 3)) == "-pi^3"
+        assert str(PiPoly(Fraction(-3, 4), 1)) == "-3/4*pi"
 
     def test_mixed_degrees_rejected(self):
-        a, b = PiPoly.term(Fraction(1, 3), 2), PiPoly.term(5, 3)
+        a, b = PiPoly(Fraction(1, 3), 2), PiPoly(5, 3)
         for call in (lambda: a + b, lambda: a - b, lambda: _signed_product_sum([(1, a, _ONE), (-1, b, _ONE)])):
             with pytest.raises(ValueError, match=r"pi\^2 and pi\^3"):
                 call()
         # a zero term has no degree, so it adds to any monomial
-        assert a + PiPoly.zero() == a and PiPoly.zero() - b == -b
+        assert a + PiPoly() == a and PiPoly() - b == -b
 
     def test_zero_is_canonical(self):
         zero = PiPoly(0, 5)
-        assert zero == PiPoly.zero() and hash(zero) == hash(PiPoly.zero())
+        assert zero == PiPoly() and hash(zero) == hash(PiPoly())
         assert zero.exp == 0 and str(zero) == "0"
-        assert PiPoly.term(3, 4) * 0 == PiPoly.zero() and (PiPoly.term(3, 4) * 0).exp == 0
-        for p in (PiPoly.term(Fraction(-5, 6), 7), zero):
+        assert PiPoly(3, 4) * 0 == PiPoly() and (PiPoly(3, 4) * 0).exp == 0
+        for p in (PiPoly(Fraction(-5, 6), 7), zero):
             back = pickle.loads(pickle.dumps(p))
             assert back == p and hash(back) == hash(p) and str(back) == str(p)
 
@@ -227,7 +226,7 @@ class TestPiPoly:
             assert got.terms == want.terms
             assert str(got) == str(want)
         for zero in (a - a, a * 0, a * Fraction(0)):
-            assert zero.is_zero and zero.terms == {} and zero == PiPoly.zero()
+            assert zero.coeff == 0 and zero.terms == {} and zero == PiPoly()
 
     @given(polys)
     def test_coefficients_stay_reduced(self, a):
@@ -269,54 +268,75 @@ class TestSignedProductSum:
         c = got.coeff
         assert isinstance(c, Fraction) and math.gcd(c.numerator, c.denominator) == 1
         if cancel:
-            assert got.is_zero and got == PiPoly.zero()
+            assert got.coeff == 0 and got == PiPoly()
 
     def test_empty_and_multi_term(self):
-        assert _signed_product_sum([]) == PiPoly.zero()
-        a = PiPoly.term(Fraction(1, 3), 2)
-        b = PiPoly.term(Fraction(-1, 2), 1)
+        assert _signed_product_sum([]) == PiPoly()
+        a = PiPoly(Fraction(1, 3), 2)
+        b = PiPoly(Fraction(-1, 2), 1)
         # (pi^2/3)(-pi/2) - (-pi/2)(5 pi^2) + (3/4)(2 pi^3) = (-1/6 + 5/2 + 3/2) pi^3
         got = _signed_product_sum(
-            [(1, a, b), (-1, b, PiPoly.term(5, 2)), (1, PiPoly.term(Fraction(3, 4), 0), PiPoly.term(2, 3))]
+            [(1, a, b), (-1, b, PiPoly(5, 2)), (1, PiPoly(Fraction(3, 4), 0), PiPoly(2, 3))]
         )
-        assert got == PiPoly.term(Fraction(23, 6), 3)
+        assert got == PiPoly(Fraction(23, 6), 3)
 
 
 class TestEvalf:
     def test_quarter_pi(self):
         # reference: mpmath mp.dps=30
-        assert PiPoly.term(Fraction(1, 4), 1).evalf(15) == pytest.approx(
+        assert PiPoly(Fraction(1, 4), 1).evalf() == pytest.approx(
             0.78539816339744831, abs=1e-16
         )
 
     def test_pi_squared_over_eight(self):
-        assert PiPoly.term(Fraction(1, 8), 2).evalf(15) == pytest.approx(
+        assert PiPoly(Fraction(1, 8), 2).evalf() == pytest.approx(
             1.2337005501361698, abs=1e-15
         )
 
     def test_zero(self):
-        assert PiPoly.zero().evalf(15) == 0.0
+        assert PiPoly().evalf() == 0.0
 
     def test_digits_contract(self):
-        v = PiPoly.term(Fraction(1, 8), 2).evalf(40)
-        assert abs(v - 1.2337005501361698) <= 1e-15
+        # no digit count to ask for: the one value is the double nearest pi^2/8
+        assert PiPoly(Fraction(1, 8), 2).evalf() == float(Fraction(1, 8) * pi_fraction(80) ** 2)
 
     def test_digits_validation(self):
-        with pytest.raises(ValueError):
-            PiPoly.term(1, 1).evalf(10)
+        # evalf takes no digit count, so every one is rejected
+        for digits in (10, 15, 40):
+            with pytest.raises(TypeError):
+                PiPoly(1, 1).evalf(digits)
+
+    # lambda(2m) and beta(2m-1) at about 40 m over the CLI's range m <= 500,
+    # and (pi/2)^j / j! over every j the J closed forms read
+    SAMPLED_M = sorted({1, 2, 3, 250, 499, 500, *range(1, 501, 13)})
+    CONSTANTS = {
+        "lambda_even_closed": (lambda_even_closed, SAMPLED_M),
+        "beta_odd_closed": (beta_odd_closed, SAMPLED_M),
+        "half_pi_term": (_half_pi_term, range(172)),
+    }
+
+    @pytest.mark.parametrize("family", CONSTANTS)
+    def test_correctly_rounded(self, family):
+        # c * pi^e rounded once against pi to 80 digits is the nearest double
+        # (c * pi^e off by < e * 1e-80 relative, far inside half an ulp)
+        pi80 = pi_fraction(80)
+        build, args = self.CONSTANTS[family]
+        for arg in args:
+            p = build(arg)
+            assert p.evalf() == float(p.coeff * pi80**p.exp), (family, arg)
 
     @settings(max_examples=80)
     @given(same_degree_pairs)
     def test_additive_within_two_ulp(self, pair):
         a, b = pair
-        left = (a + b).evalf(15)
-        right = a.evalf(15) + b.evalf(15)
-        scale = max(abs(left), abs(right), abs(a.evalf(15)), abs(b.evalf(15)), 1e-300)
+        left = (a + b).evalf()
+        right = a.evalf() + b.evalf()
+        scale = max(abs(left), abs(right), abs(a.evalf()), abs(b.evalf()), 1e-300)
         assert abs(left - right) <= 2.0 * math.ulp(scale)
 
 
 def test_half_pi_term_table():
     for j in range(171):
-        assert _half_pi_term(j) == PiPoly.term(Fraction(1, 2**j * math.factorial(j)), j)
-    assert _half_pi_term(0) == PiPoly.term(1, 0)
-    assert _half_pi_term(2).evalf(15) == pytest.approx(2.4674011002723397 / 2, rel=1e-15)
+        assert _half_pi_term(j) == PiPoly(Fraction(1, 2**j * math.factorial(j)), j)
+    assert _half_pi_term(0) == PiPoly(1, 0)
+    assert _half_pi_term(2).evalf() == pytest.approx(2.4674011002723397 / 2, rel=1e-15)

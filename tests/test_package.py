@@ -169,7 +169,7 @@ def test_record_repr_names_class_and_fields():
 
 def test_record_defaults_and_keywords():
     assert IdentityReport("x", (), 0.0, 0.0, 0.0, True, True).tol == 0.0
-    assert PiPoly() == PiPoly(coeff=0, exp=0) == PiPoly.zero() and PiPoly(exp=2).exp == 0
+    assert PiPoly() == PiPoly(coeff=0, exp=0) and PiPoly(exp=2).exp == 0
     assert EvalResult(value=2.0, error_estimate=0.0, method="closed_form", work=0).value == 2.0
 
 
@@ -198,14 +198,14 @@ def test_odd_grid_matrix_entries_read_only():
 
 
 def test_pipoly_is_immutable_and_copies():
-    p = PiPoly.term(3, 2) + PiPoly.term(1, 2)
+    p = PiPoly(3, 2) + PiPoly(1, 2)
     with pytest.raises(AttributeError, match="immutable"):
         p.coeff = Fraction(0)
     with pytest.raises(AttributeError, match="immutable"):
         del p.exp
     assert copy.copy(p) == p and pickle.loads(pickle.dumps(p)) == p
     assert hash(copy.deepcopy(p)) == hash(p)
-    assert p != 3 and PiPoly.term(3, 0) != 3
+    assert p != 3 and PiPoly(3, 0) != 3
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +242,6 @@ ORDER_CHECKS = {
     "j_closed_even": ("digits", lambda digits: jfun.j_closed_even(2, digits), 1),
     "up_down_number": ("n", exact.up_down_number, 0),
     "PiPoly": ("exponent", lambda exp: PiPoly(1, exp), 0),
-    "PiPoly.term": ("exponent", lambda exp: PiPoly.term(1, exp), 0),
-    "PiPoly.evalf": ("digits", PiPoly.term(1, 1).evalf, 15),
 }
 
 
@@ -298,3 +296,6 @@ def test_every_traced_name_resolves():
         assert callable(getattr(module, func_name, None)), name
     for method in ("evalf", *tracer["_ARITH"]):
         assert method in PiPoly.__dict__, method
+    # the work functions of the PiPoly spans read the length of `terms`
+    assert "terms" in PiPoly.__dict__
+    assert [len(p.terms) for p in (PiPoly(3, 2), PiPoly())] == [1, 0]

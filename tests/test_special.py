@@ -47,22 +47,22 @@ BETA_REF = {
 def _lambda_from_bernoulli(m):
     # lambda(2m) = (2^{2m}-1) (-1)^{m-1} B_{2m} / (2 (2m)!) pi^{2m}
     b2m = bernoulli_numbers(m + 1)[m]
-    return PiPoly.term((4**m - 1) * (-1) ** (m - 1) * b2m / (2 * math.factorial(2 * m)), 2 * m)
+    return PiPoly((4**m - 1) * (-1) ** (m - 1) * b2m / (2 * math.factorial(2 * m)), 2 * m)
 
 
 def _beta_from_euler(m):
     # beta(2m-1) = (-1)^{m-1} E_{2m-2} / (2 (2m-2)!) (pi/2)^{2m-1}
     e = euler_numbers(m)[m - 1]
-    return PiPoly.term(Fraction((-1) ** (m - 1) * e, 2 * math.factorial(2 * m - 2) * 2 ** (2 * m - 1)), 2 * m - 1)
+    return PiPoly(Fraction((-1) ** (m - 1) * e, 2 * math.factorial(2 * m - 2) * 2 ** (2 * m - 1)), 2 * m - 1)
 
 
 class TestClosedForms:
     @pytest.mark.parametrize(
         "m,expected",
         [
-            (1, PiPoly.term(Fraction(1, 8), 2)),
-            (2, PiPoly.term(Fraction(1, 96), 4)),
-            (3, PiPoly.term(Fraction(1, 960), 6)),
+            (1, PiPoly(Fraction(1, 8), 2)),
+            (2, PiPoly(Fraction(1, 96), 4)),
+            (3, PiPoly(Fraction(1, 960), 6)),
         ]
         + [(m, _lambda_from_bernoulli(m)) for m in range(1, 121)],
     )
@@ -72,9 +72,9 @@ class TestClosedForms:
     @pytest.mark.parametrize(
         "m,expected",
         [
-            (1, PiPoly.term(Fraction(1, 4), 1)),
-            (2, PiPoly.term(Fraction(1, 32), 3)),
-            (3, PiPoly.term(Fraction(5, 1536), 5)),
+            (1, PiPoly(Fraction(1, 4), 1)),
+            (2, PiPoly(Fraction(1, 32), 3)),
+            (3, PiPoly(Fraction(5, 1536), 5)),
         ]
         + [(m, _beta_from_euler(m)) for m in range(1, 121)],
     )
@@ -109,13 +109,13 @@ class TestLambdaNumeric:
 
     def test_closed_form_consistency(self):
         r = lambda_numeric(4, digits=15)
-        closed = lambda_even_closed(2).evalf(15)
+        closed = lambda_even_closed(2).evalf()
         assert abs(r.value - closed) <= 2 * math.ulp(closed)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_consistency_even_orders(self, m):
         r = lambda_numeric(2 * m, digits=15)
-        closed = lambda_even_closed(m).evalf(15)
+        closed = lambda_even_closed(m).evalf()
         assert abs(r.value - closed) <= 10 * 1e-15 * abs(closed)
 
     def test_non_integer_argument(self):
@@ -143,7 +143,7 @@ class TestBetaNumeric:
     def test_at_one(self):
         r = beta_numeric(1, digits=15)
         assert r.value == pytest.approx(BETA_REF[1], abs=1e-15)
-        closed = beta_odd_closed(1).evalf(15)
+        closed = beta_odd_closed(1).evalf()
         assert abs(r.value - closed) <= 1e-14
 
     def test_catalan(self):
@@ -152,13 +152,13 @@ class TestBetaNumeric:
 
     def test_closed_form_consistency_one_ulp_scale(self):
         r = beta_numeric(3, digits=15)
-        closed = beta_odd_closed(2).evalf(15)
+        closed = beta_odd_closed(2).evalf()
         assert abs(r.value - closed) <= 2 * math.ulp(closed)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_consistency_odd_orders(self, m):
         r = beta_numeric(2 * m - 1, digits=15)
-        closed = beta_odd_closed(m).evalf(15)
+        closed = beta_odd_closed(m).evalf()
         assert abs(r.value - closed) <= 10 * 1e-15 * abs(closed)
 
     def test_domain(self):
