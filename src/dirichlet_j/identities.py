@@ -40,8 +40,6 @@ __all__ = [
     "check_fourier",
     "fourier_partial",
     "fourier_closed",
-    "sine_value_poly_at_half_pi",
-    "cosine_value_poly_at_half_pi",
 ]
 
 _EPS = math.ulp(1.0)
@@ -170,24 +168,6 @@ def _closed_form_terms(kind: Kind, m: int) -> list[tuple[int, PiPoly, int]]:
 def _at_half_pi(terms: list[tuple[int, PiPoly, int]]) -> PiPoly:
     """sum sign * coefficient * (pi/2)^e / e! over closed-form terms, exactly."""
     return _signed_product_sum((sign, coeff, _half_pi_term(e)) for sign, coeff, e in terms)
-
-
-def sine_value_poly_at_half_pi(m: int) -> PiPoly:
-    """Exact value of the order-(2m+1) sine series closed form at x = pi/2.
-
-    Equals beta(2m+1) as a pi-monomial.
-    """
-    _check_order(m, "m")
-    return _at_half_pi(_closed_form_terms("sine", m))
-
-
-def cosine_value_poly_at_half_pi(m: int) -> PiPoly:
-    """Exact value of the order-2m cosine series closed form at x = pi/2.
-
-    Collapses to zero.
-    """
-    _check_order(m, "m")
-    return _at_half_pi(_closed_form_terms("cosine", m))
 
 
 def check_remark1(m: int) -> tuple[IdentityReport, IdentityReport]:

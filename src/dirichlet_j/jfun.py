@@ -9,6 +9,7 @@ Routes:
     for integer n, with its slowly decaying tail completed analytically;
   * finite midpoint Riemann sums (diagnostic approximant);
   * closed forms at integer arguments assembled from beta/lambda values.
+All four are pure Python; none imports numpy.
 
 The divergent companion W(m) (the same limit with cos in place of sin) is
 never evaluated numerically: its coefficient of J(k) is
@@ -66,12 +67,6 @@ def _gamma_s_plus_1(s: float) -> float:
         return float(factorial(int(s))) if float(s).is_integer() else math.gamma(s + 1.0)
     except OverflowError:
         raise ValueError(_OVERFLOW.format(s)) from None
-
-
-def _integrand(x, s: float):
-    """x^s / sin(x) on (0, pi/2); x^s via exp(s log x) to behave for tiny x."""
-    import numpy as np
-    return np.exp(s * np.log(x)) / np.sin(x)
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +235,15 @@ def j_riemann_sum(s: float, n: int) -> float:
     """Finite midpoint-grid approximant to J(s):
     (1/(Gamma(s+1) n)) sum_{p=1..n} x_p^s / sin(x_p),  x_p = (2p-1)pi/(4n).
 
-    Diagnostic only; no error estimate is claimed.
+    Diagnostic only; no error estimate is claimed.  x^s is exp(s log x), and
+    the sum is divided by n before Gamma(s+1), whose product with n
+    overflows a double near the top of the domain.
     """
     _check_domain(s)
     _check_order(n)
     gamma = _gamma_s_plus_1(s)
-    import numpy as np
-    p = np.arange(1, n + 1, dtype=float)
-    x = (2.0 * p - 1.0) * math.pi / (4.0 * n)
-    return float(np.sum(_integrand(x, s))) / (gamma * n)
+    nodes = ((2.0 * p - 1.0) * math.pi / (4.0 * n) for p in range(1, n + 1))
+    return math.fsum(math.exp(s * math.log(x)) / math.sin(x) for x in nodes) / n / gamma
 
 
 @lru_cache(maxsize=None)  # j = 2k + e < 170 by the domain check

@@ -3,20 +3,21 @@
 The n x n odd-frequency sine/cosine matrices with entries at angles
 (2i-1)(2j-1)pi/(4n) square to (n/2) I, hence are (2/n)-scaled involutions.
 Entry angles are reduced modulo 2 pi exactly on the rational multiple of pi
-before any trig call, so large index products cost no accuracy.
+before any trig call, so large index products cost no accuracy.  A matrix is
+a tuple of row tuples, and the matrices and trig sums are pure Python; only
+the log-tan series reaches numpy, through the odd-harmonic kernel of
+`identities`.
 """
 
 from __future__ import annotations
 
 import math
 from math import factorial
-from typing import TYPE_CHECKING, Literal
+from operator import mul
+from typing import Literal
 
 from .exact import _check_order, _Record, euler_numbers
 from .identities import IdentityReport, Kind, _check_kind, _check_tol, _numeric_report, _odd_harmonic_sum
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "OddGridMatrix",
@@ -33,34 +34,35 @@ TrigLemma = Literal["1_cos", "1_sin", "2_altcos"]
 class OddGridMatrix(_Record):
     __slots__ = ("n", "kind", "entries")
 
-    def __init__(self, n: int, kind: Kind, entries: np.ndarray):
-        entries.setflags(write=False)
+    def __init__(self, n: int, kind: Kind, entries: tuple[tuple[float, ...], ...]):
         self._assign(n, kind, entries)
 
 
 def build_matrix(n: int, kind: Kind) -> OddGridMatrix:
     """Symmetric n x n matrix with entry (i, j) = sin or cos of
-    (2i-1)(2j-1)pi/(4n), indices 1-based."""
+    (2i-1)(2j-1)pi/(4n), indices 1-based, as a tuple of row tuples."""
     _check_order(n)
     _check_kind(kind)
-    import numpy as np
-    odd = 2 * np.arange(1, n + 1, dtype=np.int64) - 1
-    prod = np.outer(odd, odd) % (8 * n)  # angle numerator, period 8n <-> 2 pi
-    theta = prod * (math.pi / (4 * n))
-    entries = np.sin(theta) if kind == "sine" else np.cos(theta)
+    trig = math.sin if kind == "sine" else math.cos
+    step = math.pi / (4 * n)
+    odd = range(1, 2 * n, 2)
+    # angle numerator reduced mod 8n, the period 2 pi, before the trig call
+    entries = tuple(tuple(trig(a * b % (8 * n) * step) for b in odd) for a in odd)
     return OddGridMatrix(n=n, kind=kind, entries=entries)
 
 
 def check_involution(n: int, kind: Kind, tol: float | None = None) -> IdentityReport:
-    """max |M^2 - (n/2) I| over all entries, by direct multiplication."""
+    """max |M^2 - (n/2) I| over all entries, by direct multiplication.
+
+    M is symmetric, so entry (i, j) of M^2 is the product of rows i and j,
+    and the upper triangle holds every distinct entry."""
     _check_tol(tol)
     if tol is None:
         tol = n * 1e-13
-    import numpy as np
-    m = build_matrix(n, kind)
-    square = m.entries @ m.entries
-    target = (n / 2.0) * np.eye(n)
-    diff = float(np.max(np.abs(square - target)))
+    rows = build_matrix(n, kind).entries
+    diff = max(
+        abs(sum(map(mul, rows[i], rows[j])) - (n / 2.0 if i == j else 0.0)) for i in range(n) for j in range(i, n)
+    )
     identity_id = "lemma3" if kind == "sine" else "lemma4"
     return _numeric_report(identity_id, (n,), diff, 0.0, tol=tol)
 
@@ -88,19 +90,17 @@ def trig_sum_check(lemma: TrigLemma, n: int, x: float, case: int | None = None) 
             raise ValueError("x is at a pole of sec")
     elif abs(math.sin(x)) < 1e-12:
         raise ValueError("x is at a pole of csc")
-    import numpy as np
-    k = np.arange(1, n + 1, dtype=float)
-    a = (2.0 * k - 1.0) * x
+    odd = range(1, 2 * n, 2)
     if lemma == "1_cos":
-        direct = float(np.sum(np.cos(a)))
+        direct = math.fsum(math.cos(a * x) for a in odd)
         closed = 0.5 * math.sin(2 * n * x) / math.sin(x)
         identity_id = "lemma1_cos"
     elif lemma == "1_sin":
-        direct = float(np.sum(np.sin(a)))
+        direct = math.fsum(math.sin(a * x) for a in odd)
         closed = math.sin(n * x) ** 2 / math.sin(x)
         identity_id = "lemma1_sin"
-    else:
-        direct = float(np.sum(np.where(k % 2 == 1, 1.0, -1.0) * np.cos(a)))
+    else:  # the sign (-1)^{k-1} is + where a = 2k-1 is 1 mod 4
+        direct = math.fsum(math.cos(a * x) if a % 4 == 1 else -math.cos(a * x) for a in odd)
         closed = math.sin(n * (math.pi - 2.0 * x) / 2.0) ** 2 / math.cos(x)
         identity_id = "lemma2"
     params = (n,) if case is None else (n, case)

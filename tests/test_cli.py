@@ -372,18 +372,19 @@ class TestVerify:
         assert all(line.endswith("true") for line in lines[1:])
 
 
-def test_numpy_loaded_only_by_array_routes():
-    # a fresh interpreter, so modules imported by other tests do not count
+def test_routes_without_odd_harmonic_sums_run_without_numpy():
+    # a fresh interpreter in which `import numpy` raises ImportError: only
+    # the odd-harmonic kernel (lemma7, fourier, --deep) needs numpy
     script = """
 import sys
-import dirichlet_j
+sys.modules["numpy"] = None
 from dirichlet_j import cli
-for argv in (["compute", "J", "1"], ["table", "J", "--range", "1..40"],
-             ["verify", "thm4"], ["verify", "remark1"]):
+from dirichlet_j.linalg import check_involution, trig_sum_check
+for argv in (["compute", "J", "2.5", "--method", "riemann"], ["table", "J", "--range", "1..40"],
+             *(["verify", suite] for suite in ("thm1", "thm2", "thm4", "remark1", "collapse"))):
     assert cli.run(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
-assert cli.run(["verify", "lemmas"]) == 0
-assert "numpy" in sys.modules
+assert check_involution(64, "cosine").passed
+assert trig_sum_check("2_altcos", 50, 0.3).passed
 """
     src = os.path.dirname(os.path.dirname(dirichlet_j.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -18,10 +18,8 @@ from dirichlet_j.identities import (
     check_theorem1,
     check_theorem2,
     check_theorem4,
-    cosine_value_poly_at_half_pi,
     fourier_closed,
     fourier_partial,
-    sine_value_poly_at_half_pi,
 )
 from dirichlet_j.special import beta_odd_closed, lambda_even_closed
 
@@ -125,14 +123,20 @@ class TestRemark1:
         assert b.lhs.evalf() == pytest.approx(PI_CUBED_OVER_32, rel=1e-15)
 
 
+def _closed_form_at_half_pi(kind, m):
+    # the whole closed form at x = pi/2, beta(1) term included, exactly;
+    # check_remark1 checks the same sum solved for its beta(1) term
+    return identities._at_half_pi(identities._closed_form_terms(kind, m))
+
+
 class TestValuePolysAtHalfPi:
     @pytest.mark.parametrize("m", range(1, 12))
     def test_sine_poly_equals_beta_closed_form(self, m):
-        assert sine_value_poly_at_half_pi(m) == beta_odd_closed(m + 1)
+        assert _closed_form_at_half_pi("sine", m) == beta_odd_closed(m + 1)
 
     @pytest.mark.parametrize("m", range(1, 12))
     def test_cosine_poly_collapses_to_zero(self, m):
-        assert cosine_value_poly_at_half_pi(m) == PiPoly()
+        assert _closed_form_at_half_pi("cosine", m) == PiPoly()
 
 
 class TestCollapse:
@@ -337,7 +341,7 @@ class TestFourierClosed:
         # (which scales the rounding of pi/2 by e) and of its products, and
         # each partial sum rounds: a few ulp of the sum of the absolute terms
         x = math.pi / 2
-        for kind, exact in (("sine", sine_value_poly_at_half_pi(m).evalf()), ("cosine", 0.0)):
+        for kind, exact in (("sine", beta_odd_closed(m + 1).evalf()), ("cosine", 0.0)):
             lambdas = [lambda_even_closed(m - k + 1).evalf() for k in range(1, m + 1)]
             shift = 1 if kind == "sine" else 2
             scale = sum(lam * x ** (2 * k - shift) / math.factorial(2 * k - shift) for k, lam in enumerate(lambdas, 1))

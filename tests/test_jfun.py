@@ -12,7 +12,6 @@ from dirichlet_j import identities, jfun, special
 from dirichlet_j.exact import PiPoly, _half_pi_term, bernoulli_numbers, euler_numbers
 from dirichlet_j.jfun import (
     ConvergenceError,
-    _integrand,
     _level_nodes,
     j_closed_even,
     j_closed_odd,
@@ -72,11 +71,6 @@ class TestQuadrature:
         monkeypatch.setattr(jfun, "_MAX_LEVEL", 2)
         with pytest.raises(ConvergenceError):
             j_quadrature(1.0, 19)
-
-    def test_integrand_limits(self):
-        # x^s/sin(x) -> 1 at the origin for s=1, -> 0 for s>1
-        assert _integrand(1e-12, 1.0) == pytest.approx(1.0, abs=1e-10)
-        assert _integrand(1e-12, 2.0) == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("s", [0.05, 1, 5, 18, 40])
     def test_level_sums_match_numpy_reference(self, s):
@@ -238,6 +232,12 @@ class TestRiemannSum:
     def test_large_n_close_to_quadrature(self, s):
         quad = j_quadrature(s).value
         assert abs(j_riemann_sum(s, 10**4) - quad) <= 1e-6
+
+    def test_top_of_domain_does_not_overflow(self):
+        # Gamma(171) * 1e4 exceeds a double, so the sum must be divided by n
+        # before Gamma(s+1); J(170) = 1.7645623769843e-276 (mpmath, 30 digits)
+        assert j_riemann_sum(170, 10**4) == pytest.approx(1.7645623769843e-276, rel=1e-4)
+        assert j_riemann_sum(170.62, 10**4) > 0.0
 
     @pytest.mark.parametrize("s", [1, 2, 3.5])
     def test_monotone_convergence(self, s):

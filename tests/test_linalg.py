@@ -21,12 +21,12 @@ SQRT_HALF = 0.70710678118654752  # sin(pi/4); mpmath mp.dps=30
 class TestBuildMatrix:
     def test_single_entry_sine(self):
         m = build_matrix(1, "sine")
-        assert m.entries.shape == (1, 1)
-        assert m.entries[0, 0] == pytest.approx(SQRT_HALF, rel=1e-15)
+        assert len(m.entries) == 1 and len(m.entries[0]) == 1
+        assert m.entries[0][0] == pytest.approx(SQRT_HALF, rel=1e-15)
 
     def test_single_entry_cosine(self):
         m = build_matrix(1, "cosine")
-        assert m.entries[0, 0] == pytest.approx(SQRT_HALF, rel=1e-15)
+        assert m.entries[0][0] == pytest.approx(SQRT_HALF, rel=1e-15)
 
     def test_two_by_two_angles(self):
         m = build_matrix(2, "sine")
@@ -39,9 +39,16 @@ class TestBuildMatrix:
     @pytest.mark.parametrize("kind", ["sine", "cosine"])
     @pytest.mark.parametrize("n", [1, 3, 8, 17, 64])
     def test_symmetric_and_bounded(self, n, kind):
-        m = build_matrix(n, kind)
-        assert np.array_equal(m.entries, m.entries.T)
-        assert np.all(np.abs(m.entries) <= 1.0 + 1e-15)
+        rows = build_matrix(n, kind).entries
+        assert type(rows) is tuple and all(type(row) is tuple and len(row) == n for row in rows)
+        assert len(rows) == n and all(type(v) is float for row in rows for v in row)
+        assert all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
+        assert all(abs(v) <= 1.0 for row in rows for v in row)
+        # numpy reference over the same reduced angles
+        odd = 2 * np.arange(1, n + 1, dtype=np.int64) - 1
+        theta = np.outer(odd, odd) % (8 * n) * (math.pi / (4 * n))
+        reference = np.sin(theta) if kind == "sine" else np.cos(theta)
+        assert np.allclose(rows, reference, rtol=0.0, atol=4 * math.ulp(1.0))
 
     def test_large_index_angle_reduction(self):
         # entry (n, n) has angle numerator (2n-1)^2; reduction mod 8n must
@@ -49,7 +56,7 @@ class TestBuildMatrix:
         n = 999
         m = build_matrix(n, "sine")
         exact = math.sin((((2 * n - 1) ** 2) % (8 * n)) * math.pi / (4 * n))
-        assert m.entries[-1, -1] == pytest.approx(exact, abs=1e-15)
+        assert m.entries[-1][-1] == pytest.approx(exact, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -68,12 +75,12 @@ class TestInvolution:
     def test_n1_sine_exact_value(self):
         # sin(pi/4)^2 = 1/2
         m = build_matrix(1, "sine")
-        assert (m.entries @ m.entries)[0, 0] == pytest.approx(0.5, rel=1e-15)
+        assert m.entries[0][0] ** 2 == pytest.approx(0.5, rel=1e-15)
 
     @pytest.mark.parametrize("kind", ["sine", "cosine"])
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
     def test_inverse_consequence(self, n, kind):
-        m = build_matrix(n, kind).entries
+        m = np.array(build_matrix(n, kind).entries)
         resid = np.max(np.abs(m @ (2.0 / n * m) - np.eye(n)))
         assert resid <= 2e-13 * n
 
