@@ -3,15 +3,17 @@
 
 Writes verification_report.json and verification_report.csv next to this
 script (or under --outdir) and prints the text summary. Returns exit code 1
-if any check fails, so it can gate CI. The battery runs once; all three
-formats are rendered from the same reports.
+if any check fails, so it can gate CI, and 2 (with one stderr line) if a
+report or stdout cannot be written, so a full disk or a closed pipe never
+reads as a failed check. The battery runs once; all three formats are
+rendered from the same reports.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from dirichlet_j.cli import DEFAULT_SEED, THM1_NOTE, emit_report, seed_type, suite_reports
+from dirichlet_j.cli import DEFAULT_SEED, THM1_NOTE, _write_out, emit_report, seed_type, suite_reports
 
 
 def main() -> int:
@@ -25,11 +27,14 @@ def main() -> int:
 
     json_path = args.outdir / "verification_report.json"
     csv_path = args.outdir / "verification_report.csv"
-    json_path.write_text(emit_report(reports, "json"), encoding="utf-8")
-    csv_path.write_text(emit_report(reports, "csv"), encoding="utf-8")
-    sys.stdout.write(emit_report(reports, "text") + THM1_NOTE)
-
-    print(f"\nreports: {json_path}\n         {csv_path}")
+    summary = emit_report(reports, "text") + THM1_NOTE + f"\nreports: {json_path}\n         {csv_path}\n"
+    try:
+        _write_out(emit_report(reports, "json"), str(json_path))
+        _write_out(emit_report(reports, "csv"), str(csv_path))
+        _write_out(summary, None)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     return 0 if all(r.passed for r in reports) else 1
 
 

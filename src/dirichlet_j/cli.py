@@ -6,8 +6,9 @@ Grammar:
               [--range a..b] [--tol T] [--seed S] [--deep] [--format F] [-o PATH]
   dirichlet-j table <lambda|beta|J> --range a..b [--format F] [-o PATH]
 
-Exit codes: 0 success (verify: all checks passed), 1 failed identity,
-2 usage error or unwritable -o path, 3 evaluator convergence failure.
+Exit codes: 0 success (verify: all checks passed), 1 failed identity, 2 usage
+error or an unwritable -o path or stdout, 3 evaluator convergence failure.
+--tol (thm1/thm2/thm4 only) defaults to max(1e-10, 100 x error budget).
 `compute lambda|beta --method closed` takes arguments up to CLOSED_MAX = 1000
 (the exact forms cost about s^3: 0.3 s at 1000); a larger one is a usage error.
 --digits (an integer >= 15, default 15) is the only precision setting.  The
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -34,7 +36,6 @@ __all__ = ["SUITES", "run", "main", "emit_report", "suite_reports", "THM1_NOTE"]
 
 DEFAULT_SEED = 0x5EED
 DEFAULT_DIGITS = 15
-DEFAULT_TOL = 1e-10
 CLOSED_MAX = 1000
 _INVOLUTION_SIZES = (1, 2, 4, 8, 16, 32, 64)
 _RANDOM_TRIG_CASES = 100
@@ -163,12 +164,12 @@ def _fourier(span, tol, seed, deep) -> list[dj.IdentityReport]:
     reports = []
     for i in range(16):
         x = i * (math.pi / 2) / 15
-        reports.append(dj.check_fourier("sine", 1, x, terms, tol=1e-5, params=(1, i), identity_id="eq_a2"))
+        reports.append(dj.check_fourier("sine", 1, x, terms, params=(1, i), identity_id="eq_a2"))
     for m in (1, 2, 3):
         for idx in (1, 2, 3, 4):
             x = idx * math.pi / 8
-            reports.append(dj.check_fourier("sine", m, x, terms, tol=1e-5, params=(m, idx)))
-            reports.append(dj.check_fourier("cosine", m, x, terms, tol=1e-5, params=(m, idx)))
+            reports.append(dj.check_fourier("sine", m, x, terms, params=(m, idx)))
+            reports.append(dj.check_fourier("cosine", m, x, terms, params=(m, idx)))
     return reports
 
 
@@ -192,7 +193,7 @@ SUITES: dict[str, Callable[..., list[dj.IdentityReport]]] = {
 def suite_reports(
     suite: str,
     range: tuple[int, int] | None = None,
-    tol: float = DEFAULT_TOL,
+    tol: float | None = None,
     seed: int = DEFAULT_SEED,
     deep: bool = False,
 ) -> list[dj.IdentityReport]:
@@ -313,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run identity verification suites")
     p_verify.add_argument("suite", choices=[*SUITES, "all"])
     p_verify.add_argument("--range", type=_parse_range, default=None, metavar="a..b")
-    p_verify.add_argument("--tol", type=positive_float, default=None, help=f"numeric tolerance (default {DEFAULT_TOL:g})")
+    p_verify.add_argument("--tol", type=positive_float, help="thm1/2/4 tolerance (default max(1e-10, 100 x error budget))")
     p_verify.add_argument("--seed", type=seed_type, default=DEFAULT_SEED)
     p_verify.add_argument("--deep", action="store_true", help="full 1e6-term series checks")
     p_verify.add_argument("--format", default="text", choices=["text", "json", "csv"])
@@ -330,16 +331,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_out(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
+    """text to `path`, or to stdout ending in a newline.  A failed write is a
+    ValueError (exit 2); stdout then goes to devnull, as the Python docs advise
+    for SIGPIPE, so the interpreter's exit flush fails no more."""
+    try:
+        if path is None:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+    except OSError as exc:
+        if path is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ValueError(f"cannot write {'stdout' if path is None else repr(path)}: {exc.strerror or exc}") from None
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -365,11 +372,11 @@ def run(argv: Sequence[str] | None = None) -> int:
                 raise ValueError(f"verify {args.suite} has fixed tolerances and points; it takes no --tol or --range")
             if args.suite in _EXACT_SUITES and args.tol is not None:
                 raise ValueError(f"verify {args.suite} is exact (zero tolerance); it takes no --tol")
-            tol = DEFAULT_TOL if args.tol is None else args.tol
-            reports = suite_reports(args.suite, args.range, tol, args.seed, args.deep)
-            _write_out(emit_report(reports, args.format), args.output)
+            reports = suite_reports(args.suite, args.range, args.tol, args.seed, args.deep)
+            text = emit_report(reports, args.format)
             if args.suite in ("thm1", "all") and args.format == "text" and args.output is None:
-                sys.stdout.write(THM1_NOTE)
+                text += THM1_NOTE
+            _write_out(text, args.output)
             return 0 if all(r.passed for r in reports) else 1
 
         _write_out(_table(args.function, args.range, args.digits, args.format), args.output)

@@ -296,17 +296,12 @@ def check_fourier(
     m: int,
     x: float,
     terms: int,
-    tol: float = 1e-5,
     params: tuple[int, ...] | None = None,
     identity_id: str | None = None,
 ) -> IdentityReport:
-    """Partial sum vs polynomial closed form at a single point.
-
-    The tolerance covers the series tail at `terms`; the default pairing of
-    1e-5 with 1e6 terms is conservative for every order >= 2.
-    """
+    """Partial sum vs polynomial closed form at a single point, at the fixed
+    tolerance 1e-5: it covers the series tail at 1e6 terms for every order >= 2."""
     _check_order(m, "m")
-    _check_tol(tol)
     order = 2 * m + 1 if kind == "sine" else 2 * m
     lhs = fourier_partial(kind, order, x, terms)
     rhs = fourier_closed(kind, m, x)
@@ -314,4 +309,4 @@ def check_fourier(
         identity_id = "eq_a3" if kind == "sine" else "eq_a4"
     if params is None:
         params = (m,)
-    return _numeric_report(identity_id, params, lhs, rhs, tol=tol)
+    return _numeric_report(identity_id, params, lhs, rhs, tol=1e-5)

@@ -16,11 +16,10 @@ from math import factorial
 from operator import mul
 from typing import Literal
 
-from .exact import _check_order, _Record, euler_numbers
-from .identities import IdentityReport, Kind, _check_kind, _check_tol, _numeric_report, _odd_harmonic_sum
+from .exact import _check_order, euler_numbers
+from .identities import IdentityReport, Kind, _check_kind, _numeric_report, _odd_harmonic_sum
 
 __all__ = [
-    "OddGridMatrix",
     "build_matrix",
     "check_involution",
     "trig_sum_check",
@@ -31,14 +30,7 @@ __all__ = [
 TrigLemma = Literal["1_cos", "1_sin", "2_altcos"]
 
 
-class OddGridMatrix(_Record):
-    __slots__ = ("n", "kind", "entries")
-
-    def __init__(self, n: int, kind: Kind, entries: tuple[tuple[float, ...], ...]):
-        self._assign(n, kind, entries)
-
-
-def build_matrix(n: int, kind: Kind) -> OddGridMatrix:
+def build_matrix(n: int, kind: Kind) -> tuple[tuple[float, ...], ...]:
     """Symmetric n x n matrix with entry (i, j) = sin or cos of
     (2i-1)(2j-1)pi/(4n), indices 1-based, as a tuple of row tuples."""
     _check_order(n)
@@ -47,24 +39,20 @@ def build_matrix(n: int, kind: Kind) -> OddGridMatrix:
     step = math.pi / (4 * n)
     odd = range(1, 2 * n, 2)
     # angle numerator reduced mod 8n, the period 2 pi, before the trig call
-    entries = tuple(tuple(trig(a * b % (8 * n) * step) for b in odd) for a in odd)
-    return OddGridMatrix(n=n, kind=kind, entries=entries)
+    return tuple(tuple(trig(a * b % (8 * n) * step) for b in odd) for a in odd)
 
 
-def check_involution(n: int, kind: Kind, tol: float | None = None) -> IdentityReport:
-    """max |M^2 - (n/2) I| over all entries, by direct multiplication.
+def check_involution(n: int, kind: Kind) -> IdentityReport:
+    """max |M^2 - (n/2) I| over all entries, by direct multiplication, at tolerance n * 1e-13.
 
     M is symmetric, so entry (i, j) of M^2 is the product of rows i and j,
     and the upper triangle holds every distinct entry."""
-    _check_tol(tol)
-    if tol is None:
-        tol = n * 1e-13
-    rows = build_matrix(n, kind).entries
+    rows = build_matrix(n, kind)
     diff = max(
         abs(sum(map(mul, rows[i], rows[j])) - (n / 2.0 if i == j else 0.0)) for i in range(n) for j in range(i, n)
     )
     identity_id = "lemma3" if kind == "sine" else "lemma4"
-    return _numeric_report(identity_id, (n,), diff, 0.0, tol=tol)
+    return _numeric_report(identity_id, (n,), diff, 0.0, tol=n * 1e-13)
 
 
 def trig_sum_check(lemma: TrigLemma, n: int, x: float, case: int | None = None) -> IdentityReport:

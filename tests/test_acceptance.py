@@ -129,7 +129,7 @@ def test_criterion_7_collapse_exact():
 
 def test_criterion_8_involutions():
     reports, elapsed = _timed(("lemmas", {}))
-    # check_involution's default tolerance is n * 1e-13
+    # check_involution's tolerance is n * 1e-13
     involutions = [r for r in reports if r.identity_id in ("lemma3", "lemma4")]
     ok = len(involutions) == 14 and {r.params[0] for r in involutions} == {1, 2, 4, 8, 16, 32, 64}
     ok &= all(r.passed and r.tol == r.params[0] * 1e-13 for r in involutions)

@@ -308,6 +308,12 @@ class TestVerify:
     def test_bad_range_usage_error(self):
         assert run(["verify", "thm1", "--range", "5"]) == 2
 
+    @pytest.mark.parametrize("suite", ["thm1", "thm2", "thm4"])
+    def test_default_tol_is_the_floor_over_the_whole_range(self, suite):
+        # without --tol each check takes max(1e-10, 100 err_budget), and that
+        # is 1e-10 for every m (n) of 1..85: reports, tol included, are equal
+        assert suite_reports(suite, range=(1, 85)) == suite_reports(suite, range=(1, 85), tol=1e-10)
+
     def test_nonpositive_tol_usage_error(self):
         assert run(["verify", "thm1", "--tol", "-1e-5"]) == 2
         for tol in ("0", "nan", "inf"):
@@ -463,11 +469,59 @@ class TestEmitReport:
             emit_report([], "xml")
 
 
-def _run_script(*args):
+def _python(*args, stdout=subprocess.PIPE):
     src = os.path.dirname(os.path.dirname(dirichlet_j.__file__))
-    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "run_verification.py")
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, script, *args], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300)
+
+
+def _run_script(*args, stdout=subprocess.PIPE):
+    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "run_verification.py")
+    return _python(script, *args, stdout=stdout)
+
+
+@pytest.fixture(params=["closed-pipe", "dev-full"])
+def broken_stdout(request):
+    """(an fd or file for stdout that every write fails on, the strerror)"""
+    if request.param == "closed-pipe":
+        read, write = os.pipe()
+        os.close(read)
+        yield write, "Broken pipe"
+        os.close(write)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            yield full, "No space left on device"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm1"],  # text, with THM1_NOTE
+        ["verify", "remark1", "--range", "1..150", "--format", "json"],
+        ["compute", "J", "1"],
+        ["table", "J", "--range", "1..3", "--format", "csv"],
+    ],
+    ids=["verify-text", "verify-json", "compute", "table"],
+)
+def test_unwritable_stdout_is_exit_two(argv, broken_stdout):
+    # one stderr line and no traceback, nor an "Exception ignored" line from
+    # the interpreter's exit flush
+    sink, reason = broken_stdout
+    proc = _python("-m", "dirichlet_j", *argv, stdout=sink)
+    assert proc.returncode == 2
+    assert proc.stderr == f"usage error: cannot write stdout: {reason}\n"
+
+
+def test_run_verification_script_unwritable_stdout_is_exit_two(tmp_path, broken_stdout):
+    # every check passes and both reports are written: exit 2, not the 1 of a failed battery
+    sink, reason = broken_stdout
+    proc = _run_script("--outdir", str(tmp_path), stdout=sink)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write stdout: {reason}\n"
+    assert _strict_json((tmp_path / "verification_report.json").read_text())
+    assert (tmp_path / "verification_report.csv").read_text().startswith("identity_id,")
 
 
 @pytest.mark.parametrize("extra", [[], ["--deep"]], ids=["default", "deep"])

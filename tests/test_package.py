@@ -14,7 +14,6 @@ import dirichlet_j
 from dirichlet_j import exact, identities, jfun, linalg, special
 from dirichlet_j.exact import PiPoly
 from dirichlet_j.identities import IdentityReport
-from dirichlet_j.linalg import OddGridMatrix
 from dirichlet_j.special import EvalResult
 
 SUBMODULES = ("exact", "special", "jfun", "identities", "linalg")
@@ -125,10 +124,6 @@ def test_numpy_imported_by_one_function():
 # ---------------------------------------------------------------------------
 
 
-def _matrix(n=2):
-    return OddGridMatrix(n, "sine", tuple(tuple(float(i * n + j) for j in range(n)) for i in range(n)))
-
-
 # per record: a factory of one instance (called twice for equal copies), a
 # factory of an instance that differs in one field, and the fields in order
 RECORDS = {
@@ -146,11 +141,6 @@ RECORDS = {
         lambda: PiPoly(Fraction(-1, 2), 3),
         lambda: PiPoly(Fraction(-1, 2), 2),
         ("coeff", "exp"),
-    ),
-    "OddGridMatrix": (
-        _matrix,
-        lambda: OddGridMatrix(2, "cosine", _matrix().entries),
-        ("n", "kind", "entries"),
     ),
 }
 
@@ -198,7 +188,6 @@ def test_record_repr_names_class_and_fields():
         "IdentityReport(identity_id='thm2', params=(1, 2), lhs=1.0, rhs=2.0, abs_diff=1.0, "
         "exact=False, passed=False, tol=0.0)"
     )
-    assert repr(_matrix(1)) == "OddGridMatrix(n=1, kind='sine', entries=((0.0,),))"
 
 
 def test_record_defaults_and_keywords():
@@ -220,12 +209,11 @@ def test_eval_result_validation_messages(args, message):
 
 
 def test_odd_grid_matrix_entries_read_only():
-    m = _matrix()
+    m = linalg.build_matrix(2, "sine")
+    before = m[0][0]
     with pytest.raises(TypeError, match="does not support item assignment"):
-        m.entries[0][0] = 5.0
-    with pytest.raises(AttributeError, match="immutable"):
-        m.entries = ((0.0, 0.0), (0.0, 0.0))
-    assert m.entries == ((0.0, 1.0), (2.0, 3.0))
+        m[0][0] = 5.0
+    assert m[0][0] == before
 
 
 def test_pipoly_is_immutable_and_copies():
