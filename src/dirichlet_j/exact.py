@@ -211,7 +211,9 @@ _up_down_lock = threading.Lock()
 
 
 def _up_down_numbers(n: int) -> list[int]:
-    """Up/down numbers [A_0, ..., A_n], growing the shared table in place.
+    """The shared table [A_0, A_1, ...] itself, grown in place to hold A_n.
+    An entry never changes once appended, so callers index it directly and
+    never write to it.
 
     Seidel's boustrophedon (integer additions only): each row is the running
     sum, from 0, of the previous row reversed, and row n ends in A_n.
@@ -220,7 +222,7 @@ def _up_down_numbers(n: int) -> list[int]:
         while len(_up_down) <= n:
             _up_down_row[:] = list(accumulate(reversed(_up_down_row), initial=0))
             _up_down.append(_up_down_row[-1])
-        return _up_down[: n + 1]
+    return _up_down
 
 
 def up_down_number(n: int) -> int:

@@ -23,7 +23,7 @@ import math
 from functools import lru_cache
 from math import factorial
 
-from .exact import _check_order, _half_pi_term, euler_numbers
+from .exact import _check_order, _half_pi_term, _up_down_numbers
 from .special import EvalResult, _beta_even, lambda_numeric
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
 
 _EPS = math.ulp(1.0)
 _HALF_PI = math.pi / 2.0
-_HALF_PI_REL_ERR = 3.9e-17  # |_HALF_PI - pi/2| / (pi/2) = 3.898e-17
 _OVERFLOW = "Gamma({} + 1) overflows a double: J(s) requires s <= 170.62"
 
 
@@ -45,8 +44,9 @@ class ConvergenceError(RuntimeError):
     """Raised when an evaluator cannot meet its tolerance within its caps."""
 
 
-def _abs_target(digits: int) -> float:
-    """The absolute stopping target 10^(1 - digits) of the J routes."""
+def _target(digits: int) -> float:
+    """The stopping target 10^(1 - digits) of the J routes: absolute for the
+    quadrature, relative to J for the Euler series."""
     _check_order(digits, "digits")
     target = 10.0 ** -(digits - 1)
     if target == 0.0:
@@ -117,7 +117,7 @@ def j_quadrature(s: float, digits: int = 14) -> EvalResult:
     :class:`ConvergenceError` if level _MAX_LEVEL is passed first.
     """
     _check_domain(s)
-    tol = _abs_target(digits)
+    tol = _target(digits)
     prefactor = 2.0 / math.pi / _gamma_s_plus_1(s)
     total = 0.0
     value = 0.0
@@ -142,30 +142,22 @@ def j_quadrature(s: float, digits: int = 14) -> EvalResult:
 # Euler-number series
 # ---------------------------------------------------------------------------
 #
-# All series terms are positive: (-1)^k E_{2k} = |E_{2k}|.  Since
-# |E_{2k}| = 2^{2k+2} (2k)!/pi^{2k+1} * beta(2k+1), each term equals
-# beta(2k+1) * b_k with the envelope b_k = 4 (pi/2)^n / pi * (2k)!/(n+2k+1)!.
+# All series terms are positive: (-1)^k E_{2k} = |E_{2k}| = A_{2k}, the
+# up/down numbers of the exact table.  Since
+# A_{2k} = 2^{2k+2} (2k)!/pi^{2k+1} * beta(2k+1), each term equals
+# beta(2k+1) * b_k with the envelope b_k = (4/pi) (pi/2)^n * (2k)!/(n+2k+1)!.
 # The envelope decays only like k^-(n+1), far too slowly to truncate at
 # realistic tolerances, but sum_k b_k has an elementary closed form, and
 # beta(2k+1) -> 1 at the geometric rate 3^-(2k+1).  So we sum K+1 exact
 # terms, add the closed-form remainder sum_{k>K} b_k, and bound the
 # difference  sum_{k>K} b_k (1 - beta(2k+1)) <= (9/8) b_{K+1} 3^-(2K+3),
-# which shrinks below any practical tolerance within a few dozen terms.
-
-_EULER_MAX_INDEX = 4000
-
-
-def _over_factorial(x: float, m: int) -> float:
-    """x / m! for m! beyond a double too: m! is scaled down by a power of two,
-    which its trailing zero bits make exact, and the quotient scaled back."""
-    f = factorial(m)
-    shift = max(0, f.bit_length() - 1000)
-    return math.ldexp(x / float(f >> shift), -shift)
+# which shrinks below any practical tolerance within a few dozen terms and
+# is 0.0 from 2K+3 = 679, so no target needs more than 339 terms.
 
 
 @lru_cache(maxsize=None, typed=True)  # at most 170 keys
 def _envelope_total(n: int) -> float:
-    """sum_{k>=0} (2k)!/(n+2k+1)! = (1/n!) sum_{i>=0} 2^-(i+1)/(n+i).
+    """n! sum_{k>=0} (2k)!/(n+2k+1)! = sum_{i>=0} 2^-(i+1)/(n+i).
 
     Positive geometric series; summed until the tail is below 1e-22 relative.
     """
@@ -176,7 +168,7 @@ def _envelope_total(n: int) -> float:
         term = powhalf / (n + i)
         acc += term
         if term < 1e-22 * acc:
-            return acc / _gamma_s_plus_1(n)
+            return acc
         powhalf *= 0.5
         i += 1
 
@@ -185,44 +177,40 @@ def j_euler_series(n: int, digits: int = 13) -> EvalResult:
     """J(n) for integer n >= 1 from the Euler-number series.
 
     Terms are summed exactly as stated until the analytic bound on the
-    residual left after tail completion drops below half the absolute target
-    10^(1 - digits); the closed-form envelope remainder is then added.
+    residual left after tail completion drops below half the relative
+    target 10^(1 - digits) of the completed sum; the closed-form envelope
+    remainder is then added.
     """
     _check_order(n)
     _check_domain(n)
-    tol = _abs_target(digits)
+    tol = _target(digits)
 
-    scale = 4.0 * _HALF_PI**n / math.pi
-    envelope_total = scale * _envelope_total(n)
-    # envelope b_k = scale * (2k)!/(n+2k+1)!, kept alongside the true terms
-    b = _over_factorial(scale, n + 1)
-    t = _over_factorial(_HALF_PI**n, n + 1)
+    half_pi_factor = _half_pi_factor(n)  # (pi/2)^n / n!, as in the closed forms
+    envelope_total = 4.0 / math.pi * half_pi_factor * _envelope_total(n)
+    t = half_pi_factor / (n + 1)
+    b = 4.0 / math.pi * t
+    a = _up_down_numbers(2)  # the shared table, grown as 2k passes its end
     partial = 0.0
     envelope_head = 0.0
     k = 0
-    e = euler_numbers(8)
     while True:
         partial += t
         envelope_head += b
         b_next = b * (2 * k + 1) * (2 * k + 2) / ((n + 2 * k + 2) * (n + 2 * k + 3))
         residual = 1.125 * b_next * 3.0 ** (-(2 * k + 3))
-        if residual <= tol / 2.0:
+        if residual <= tol / 2.0 * (partial + envelope_total - envelope_head):
             break
         k += 1
-        if 2 * k > _EULER_MAX_INDEX:
-            raise ConvergenceError(f"tol={tol:g} needs Euler numbers beyond index {_EULER_MAX_INDEX}")
-        if k >= len(e):
-            e = euler_numbers(2 * len(e))
-        # |E_{2k}| / |E_{2k-2}|; int true division rounds correctly
-        ratio = -e[k] / e[k - 1]
-        t *= ratio * _HALF_PI * _HALF_PI / ((n + 2 * k) * (n + 2 * k + 1))
+        if 2 * k >= len(a):
+            a = _up_down_numbers(2 * k)
+        # A_{2k} / A_{2k-2}; int true division rounds correctly
+        t *= a[2 * k] / a[2 * k - 2] * _HALF_PI * _HALF_PI / ((n + 2 * k) * (n + 2 * k + 1))
         b = b_next
 
-    tail = envelope_total - envelope_head
-    value = partial + tail
-    # rounding: each of the k additions into partial and envelope_head, and
-    # float pi/2 raised to the n, which carries n times its relative error
-    err = residual + ((8.0 + k) * _EPS + n * _HALF_PI_REL_ERR) * abs(value)
+    value = partial + (envelope_total - envelope_head)
+    # rounding: the few operations forming t_0, b_0 and the envelope total,
+    # and each of the k additions into partial and envelope_head
+    err = residual + (8.0 + k) * _EPS * abs(value)
     return EvalResult(value, err, "euler_series", k + 1)
 
 
@@ -246,10 +234,10 @@ def j_riemann_sum(s: float, n: int) -> float:
     return math.fsum(math.exp(s * math.log(x)) / math.sin(x) for x in nodes) / n / gamma
 
 
-@lru_cache(maxsize=None)  # j = 2k + e < 170 by the domain check
+@lru_cache(maxsize=None)  # j <= 170 by the domain checks
 def _half_pi_factor(j: int) -> float:
-    """(pi/2)^j / j! as the correctly rounded double; a constant of the
-    closed forms, shared by every argument and digit count."""
+    """(pi/2)^j / j! as the correctly rounded double, shared by the closed
+    forms and the Euler series at every argument and digit count."""
     return _half_pi_term(j).evalf()
 
 

@@ -83,9 +83,11 @@ class TestCompute:
         assert "0.1796320799769" in capout()
 
     def test_j_euler_series_at_170(self, capout):
-        # (170 + 1)! exceeds a double although J(170) does not
+        # J(170) = 1.7645623769843121e-276 (mpmath, 60 digits); an absolute
+        # target 1e-14 would stop after one term, 2.7e-6 off
         assert run(["compute", "J", "170", "--method", "euler_series"]) == 0
-        assert "J(170) = 1.7645" in capout()
+        value = float(capout().split("J(170) = ")[1].split()[0])
+        assert value == pytest.approx(1.7645623769843121e-276, rel=1e-13, abs=0)
 
     def test_j_riemann(self, capout):
         assert run(["compute", "J", "2", "--method", "riemann"]) == 0

@@ -158,24 +158,18 @@ class TestEulerSeries:
                 )
                 assert t <= bound * (1 + 1e-12)
 
-    def test_table_cap(self, monkeypatch):
-        monkeypatch.setattr(jfun, "_EULER_MAX_INDEX", 40)
-        r = j_euler_series(1, 13)
-        assert 2 * (r.work - 1) <= 40
-        with pytest.raises(ConvergenceError, match="beyond index 40"):
-            j_euler_series(1, 31)
-
-    def test_tolerance_unreachable_within_cap(self, monkeypatch):
-        monkeypatch.setattr(jfun, "_EULER_MAX_INDEX", 10)
-        with pytest.raises(ConvergenceError):
-            j_euler_series(1, 31)
+    def test_terminates_at_smallest_target(self):
+        # the residual bound 3^-(2k+3) is 0.0 from 2k+3 = 679, so the loop
+        # stops within 339 terms at any target
+        assert max(j_euler_series(n, 324).work for n in range(1, 171)) <= 339
 
     def test_thread_safety_of_euler_table(self):
         import dirichlet_j.exact as ex
 
         def work(start):
+            # j_euler_series(1, 301) grows the table to A_616 while others read it
             start.wait(timeout=60)
-            return j_euler_series(2, 14), tuple(bernoulli_numbers(40))
+            return j_euler_series(2, 14), j_euler_series(1, 301), tuple(bernoulli_numbers(40))
 
         expected = work(threading.Barrier(1))
         interval = sys.getswitchinterval()
@@ -207,12 +201,14 @@ class TestEulerSeries:
 
     @pytest.mark.parametrize("n", range(1, 171))
     def test_within_estimate_against_mpmath(self, n):
-        # digits=301 (a 1e-300 target) leaves only rounding in the estimate,
-        # the drift of float pi/2 raised to the n included
+        # digits=301 and 324 leave only rounding in the estimate; the target
+        # is relative to J, so at digits 12-15 the relative error meets it
         ref = _mpmath_j(n)
-        for digits in (13, 301):
+        for digits in (12, 13, 14, 15, 17, 20, 100, 301, 324):
             r = j_euler_series(n, digits)
             assert abs(r.value - ref) <= r.error_estimate, (digits, r, ref)
+            if digits <= 15:
+                assert abs(r.value - ref) <= 10.0 ** (1 - digits) * ref, (digits, r, ref)
 
 
 def _mpmath_j(n):
@@ -383,11 +379,14 @@ def _closed_pin_lines():
     return lines
 
 
-# sha256 of (value, error_estimate, work) in hex over this grid, taken
-# before `digits` replaced the absolute tolerance arguments: the change of
-# argument must not move a bit
+# sha256 of (value, error_estimate, work) in hex over these grids.  The
+# quadrature pin was taken before `digits` replaced the absolute tolerance
+# arguments, and the change of argument must not move a bit.  The series pin
+# was taken when its target became relative to J and it began to read the
+# exact (pi/2)^n / n! and the shared up/down table.
 PIN_S = (0.05, 0.5, 1, 2, 3.7, 8, 18, 40, 150)
-PIN_SHA256 = "4ad3bd745a9d23882862d29bcdd47c007c55c22439cb49cdbf37ef7b43c0ca82"
+QUADRATURE_PIN_SHA256 = "2082b626288e691cca199908b03cf65981f094278fc2bb9a71aa31224d9adef9"
+SERIES_PIN_SHA256 = "57c19f919fc5fffce87a5ecffbb27f7639df3ff96d44bcaded3f029ff03642c9"
 
 
 class TestDigits:
@@ -397,16 +396,20 @@ class TestDigits:
             for digits in (12, 14, 15, 16):
                 r = j_quadrature(s, digits)
                 lines.append(f"q {s!r} {digits} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == QUADRATURE_PIN_SHA256
+
+    def test_series_values_pinned(self):
+        lines = []
         for n in range(1, 171):
             for digits in (12, 13, 14, 15, 17):
                 r = j_euler_series(n, digits)
                 lines.append(f"e {n} {digits} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PIN_SHA256
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SERIES_PIN_SHA256
 
     def test_defaults(self):
-        # 10^(1 - digits) at the defaults is the absolute target the routes
-        # had before: 1e-13 for quadrature and 1e-12 for the series
-        assert jfun._abs_target(14) == 1e-13 and jfun._abs_target(13) == 1e-12
+        # 10^(1 - digits) at the defaults is the target the routes had
+        # before: 1e-13 for quadrature and 1e-12 for the series
+        assert jfun._target(14) == 1e-13 and jfun._target(13) == 1e-12
         assert j_quadrature(2.5) == j_quadrature(2.5, 14)
         assert j_euler_series(7) == j_euler_series(7, 13)
 
@@ -418,7 +421,7 @@ class TestDigits:
 
     def test_smallest_target_is_accepted(self):
         # 10^-323 is a denormal and still a target
-        assert jfun._abs_target(324) == 1e-323
+        assert jfun._target(324) == 1e-323
         assert j_euler_series(3, 324).work > 1
         assert j_quadrature(3, 324).work > 0
 
