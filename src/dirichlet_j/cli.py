@@ -11,9 +11,9 @@ error or an unwritable -o path or stdout, 3 evaluator convergence failure.
 --tol (thm1/thm2/thm4 only) defaults to max(1e-10, 100 x error budget).
 `compute lambda|beta --method closed` takes arguments up to CLOSED_MAX = 1000
 (the exact forms cost about s^3: 0.3 s at 1000); a larger one is a usage error.
---digits (an integer >= 15, default 15) is the only precision setting.  The
-lambda/beta closed forms print the correctly rounded double at any --digits;
-the J closed forms use it only to size the lambda/beta series they sum.
+--digits (15, 16 or 17, default 15) is the only precision setting: it sets the
+target of `compute|table J` by quadrature and by the Euler series.  Every
+other route sums a fixed 24-term series or rounds an exact form once.
 json and csv output go through the stdlib `json` and `csv` modules; json
 writes non-finite floats as the strings "inf", "-inf" and "nan".
 """
@@ -221,7 +221,7 @@ def _compute(fn: str, s: float | int, method: str, digits: int) -> tuple[float, 
         odd = fn == "beta"  # the closed forms give lambda(2m) and beta(2m - 1): s = 2m - odd
         numeric, closed = (beta_numeric, beta_odd_closed) if odd else (lambda_numeric, lambda_even_closed)
         if method in ("auto", "series"):
-            r = numeric(s, digits)
+            r = numeric(s)
             return r.value, r.method, r.error_estimate, r.work
         if method != "closed":
             raise ValueError(f"method {method!r} not available for {fn}")
@@ -242,7 +242,7 @@ def _compute(fn: str, s: float | int, method: str, digits: int) -> tuple[float, 
     elif method == "euler_series":
         r = j_euler_series(s, digits)
     elif method == "closed":
-        r = j_closed_odd((s + 1) // 2, digits) if s % 2 else j_closed_even(s // 2, digits)
+        r = j_closed_odd((s + 1) // 2) if s % 2 else j_closed_even(s // 2)
     else:
         raise ValueError(f"method {method!r} not available for J")
     return r.value, r.method, r.error_estimate, r.work
@@ -281,7 +281,7 @@ def _checked(text: str, convert: Callable, ok: Callable, message: str):
 
 
 def digits_type(text: str) -> int:
-    return _checked(text, int, lambda v: v >= 15, "digits must be an integer >= 15")
+    return _checked(text, int, lambda v: 15 <= v <= 17, "digits must be an integer from 15 to 17")
 
 
 def positive_float(text: str) -> float:

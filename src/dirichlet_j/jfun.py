@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import factorial
 
 from .exact import _check_order, _half_pi_term, _up_down_numbers
-from .special import EvalResult, _beta_even, lambda_numeric
+from .special import _TERMS, EvalResult, _beta_even, lambda_numeric
 
 __all__ = [
     "ConvergenceError",
@@ -132,7 +132,9 @@ def j_quadrature(s: float, digits: int = 14) -> EvalResult:
         if level > 0:
             diff = abs(new_value - value)
             if diff <= tol / 2.0:
-                err = max(diff, 4.0 * _EPS * abs(new_value))
+                # exp(s log x) carries the rounding of s log x, so the floor grows
+                # with s: mpmath puts the error below 1.7 (s+4) eps |J| for s <= 40
+                err = max(diff, 2.0 * (s + 4.0) * _EPS * abs(new_value))
                 return EvalResult(new_value, err, "quadrature", work)
         value = new_value
     raise ConvergenceError(f"tanh-sinh quadrature did not reach tol={tol:g} for s={s} within max_level={_MAX_LEVEL}")
@@ -237,11 +239,11 @@ def j_riemann_sum(s: float, n: int) -> float:
 @lru_cache(maxsize=None)  # j <= 170 by the domain checks
 def _half_pi_factor(j: int) -> float:
     """(pi/2)^j / j! as the correctly rounded double, shared by the closed
-    forms and the Euler series at every argument and digit count."""
+    forms and the Euler series at every argument."""
     return _half_pi_term(j).evalf()
 
 
-def _theorem4(n: int, e: int, digits: int) -> EvalResult:
+def _theorem4(n: int, e: int) -> EvalResult:
     """J(2n-1+e), e = 0 or 1, from Theorem 4:
     (pi/4) J(2n-1+e) = (-1)^n [e lambda(2n+1)
                        - sum_{k=0}^{n-1} (-1)^k beta(2n-2k) (pi/2)^{2k+e} / (2k+e)!].
@@ -251,30 +253,29 @@ def _theorem4(n: int, e: int, digits: int) -> EvalResult:
     acc = err = 0.0
     work = 0
     if e:
-        lam = lambda_numeric(2 * n + 1, digits)
+        lam = lambda_numeric(2 * n + 1)
         acc, err, work = lam.value, lam.error_estimate, lam.work
-    betas, terms = _beta_even(n, digits)
     sign = 1.0
-    for k, (b, b_err) in enumerate(betas):
+    for k, (b, b_err) in enumerate(_beta_even(n)):
         factor = _half_pi_factor(2 * k + e)
         acc -= sign * b * factor
         err += b_err * factor
         sign = -sign
     value = (-1) ** n * acc * 4.0 / math.pi
     err = (err + 4.0 * _EPS * abs(acc)) * 4.0 / math.pi
-    return EvalResult(value, err, "closed_form", work + n * terms)
+    return EvalResult(value, err, "closed_form", work + n * _TERMS)
 
 
-def j_closed_odd(n: int, digits: int = 15) -> EvalResult:
+def j_closed_odd(n: int) -> EvalResult:
     """J(2n-1) from the closed form
     (pi/4) J(2n-1) = (-1)^{n-1} sum_{k=0}^{n-1} (-1)^k beta(2n-2k) (pi/2)^{2k} / (2k)!.
     """
-    return _theorem4(n, 0, digits)
+    return _theorem4(n, 0)
 
 
-def j_closed_even(n: int, digits: int = 15) -> EvalResult:
+def j_closed_even(n: int) -> EvalResult:
     """J(2n) from the closed form
     (pi/4) J(2n) = (-1)^n [lambda(2n+1)
                    - sum_{k=0}^{n-1} (-1)^k beta(2n-2k) (pi/2)^{2k+1} / (2k+1)!].
     """
-    return _theorem4(n, 1, digits)
+    return _theorem4(n, 1)

@@ -1,8 +1,8 @@
 """Dirichlet lambda and beta functions.
 
-Numeric evaluation for real arguments uses Chebyshev-weighted acceleration
-of the underlying alternating series (geometric error decay, so ~1.32
-terms per requested decimal digit).  The classical closed forms at even
+Numeric evaluation for real arguments sums 24 terms of the underlying
+alternating series with the Chebyshev-weighted acceleration of Cohen,
+Rodriguez Villegas & Zagier.  The classical closed forms at even
 lambda / odd beta integer orders are produced exactly as pi-monomials.
 """
 
@@ -27,8 +27,11 @@ __all__ = [
 Method = Literal["closed_form", "accelerated_series", "quadrature", "euler_series", "riemann_sum"]
 
 _EPS = math.ulp(1.0)
-# error of the accelerated partial sum decays like _ACCEL_RATE^-terms
+# the accelerated sum's error decays like _ACCEL_RATE^-terms: at 24 terms it is
+# below 4 _ACCEL_RATE^-24 = 1.7e-18, 0.02 ulp of any beta(s) >= 1/2
 _ACCEL_RATE = 3.0 + math.sqrt(8.0)
+_TERMS = 24
+_TRUNCATION = 4.0 * _ACCEL_RATE ** (-_TERMS)
 _LN2 = math.log(2.0)
 
 
@@ -70,86 +73,69 @@ def beta_odd_closed(m: int) -> PiPoly:
     return PiPoly(coeff, 2 * m - 1)
 
 
-def _terms_for_digits(digits: int) -> int:
-    _check_order(digits, "digits")
-    # past ~250 terms the weight scale (3+sqrt8)^terms overflows a double,
-    # and the truncation error is already far below denormal
-    return min(math.ceil(1.32 * digits) + 4, 250)
-
-
-@lru_cache(maxsize=None)
-def _chebyshev_weights(terms: int) -> tuple[tuple[float, ...], float]:
-    """Weights c_0..c_{terms-1} and normaliser d of the accelerated sum.
-
-    They depend on `terms` alone, which `_terms_for_digits` caps at 250.
-    """
-    d = _ACCEL_RATE**terms
+def _chebyshev_weights() -> tuple[tuple[float, ...], float]:
+    """Weights c_0..c_{_TERMS-1} and normaliser d of the accelerated sum."""
+    d = _ACCEL_RATE**_TERMS
     d = (d + 1.0 / d) / 2.0
     b, c = -1.0, -d
     weights = []
-    for k in range(terms):
+    for k in range(_TERMS):
         c = b - c
         weights.append(c)
-        b *= (k + terms) * (k - terms) / ((k + 0.5) * (k + 1.0))
+        b *= (k + _TERMS) * (k - _TERMS) / ((k + 0.5) * (k + 1.0))
     return tuple(weights), d
 
 
-@lru_cache(maxsize=None)
-def _bases(step: float, terms: int) -> tuple[float, ...]:
-    """The bases step*k + 1 of the terms k = 0..terms-1 of an alternating sum."""
-    return tuple(step * k + 1.0 for k in range(terms))
+_WEIGHTS, _NORM = _chebyshev_weights()
+# the bases step*k + 1 of the terms k = 0.._TERMS-1: eta at step 1.0, beta at 2.0
+_BASES = {step: tuple(step * k + 1.0 for k in range(_TERMS)) for step in (1.0, 2.0)}
 
 
-def _accelerated_alternating(step: float, s: float, terms: int) -> float:
+def _accelerated_alternating(step: float, s: float) -> float:
     """sum_{k>=0} (-1)^k (step*k + 1)^-s, accelerated: eta(s) at step 1.0,
     beta(s) at step 2.0.
 
-    Chebyshev-polynomial weighting of the first `terms` partial sums; the
-    truncation error is O((3+sqrt 8)^-terms).  Only the weights and bases
-    are cached: they depend on `step` and `terms` alone, never on s.
+    Chebyshev-polynomial weighting of the first _TERMS partial sums; the
+    truncation error is at most _TRUNCATION.  The weights and bases are
+    module constants: they never depend on s.
     """
-    weights, d = _chebyshev_weights(terms)
     acc = 0.0
-    for c, b in zip(weights, _bases(step, terms)):
+    for c, b in zip(_WEIGHTS, _BASES[step]):
         acc += c * b**-s
-    return acc / d
+    return acc / _NORM
 
 
-def lambda_numeric(s: float, digits: int = 15) -> EvalResult:
-    """lambda(s) = sum 1/(2n-1)^s for s > 1, to `digits` significant digits.
+def lambda_numeric(s: float) -> EvalResult:
+    """lambda(s) = sum 1/(2n-1)^s for s > 1.
 
     Evaluated as (1 - 2^-s) * zeta(s) with zeta(s) = eta(s) / (1 - 2^{1-s})
     and eta (the alternating zeta) summed by acceleration.
     """
     if not 1 < s < math.inf:
         raise ValueError("lambda(s) requires finite s > 1")
-    n = _terms_for_digits(digits)
-    eta = _accelerated_alternating(1.0, s, n)
+    eta = _accelerated_alternating(1.0, s)
     # 1 - 2^{1-s} through expm1: the plain difference cancels as s -> 1
     scale = (1.0 - 2.0 ** (-s)) / -math.expm1((1.0 - s) * _LN2)
     value = eta * scale
-    err = 4.0 * _ACCEL_RATE ** (-n) * abs(scale) + 16.0 * _EPS * abs(value)
-    return EvalResult(value, err, "accelerated_series", n)
+    err = _TRUNCATION * abs(scale) + 16.0 * _EPS * abs(value)
+    return EvalResult(value, err, "accelerated_series", _TERMS)
 
 
-def beta_numeric(s: float, digits: int = 15) -> EvalResult:
-    """beta(s) = sum (-1)^{n-1}/(2n-1)^s for s > 0, to `digits` digits."""
+def beta_numeric(s: float) -> EvalResult:
+    """beta(s) = sum (-1)^{n-1}/(2n-1)^s for s > 0."""
     if not 0 < s < math.inf:
         raise ValueError("beta(s) requires finite s > 0")
-    n = _terms_for_digits(digits)
-    value = _accelerated_alternating(2.0, s, n)
-    return EvalResult(value, _beta_error(value, n), "accelerated_series", n)
+    value = _accelerated_alternating(2.0, s)
+    return EvalResult(value, _beta_error(value), "accelerated_series", _TERMS)
 
 
-def _beta_error(value: float, terms: int) -> float:
-    """The error estimate of a beta value summed with `terms` terms: the
-    truncation bound 4 (3+sqrt 8)^-terms plus 16 ulp of the value."""
-    return 4.0 * _ACCEL_RATE ** (-terms) + 16.0 * _EPS * abs(value)
+def _beta_error(value: float) -> float:
+    """A beta value's error estimate: the truncation bound plus 16 ulp of it."""
+    return _TRUNCATION + 16.0 * _EPS * abs(value)
 
 
-def _beta_even(n: int, digits: int) -> tuple[list[tuple[float, float]], int]:
+def _beta_even(n: int) -> list[tuple[float, float]]:
     """beta(2n), beta(2n-2), ..., beta(2) as `beta_numeric` sums them, each
-    as a pair (value, error estimate), and the term count."""
-    terms = _terms_for_digits(digits)
-    values = [_accelerated_alternating(2.0, 2 * n - 2 * k, terms) for k in range(n)]
-    return [(b, _beta_error(b, terms)) for b in values], terms
+    as a pair (value, error estimate); each costs _TERMS terms."""
+    values = [_accelerated_alternating(2.0, 2 * n - 2 * k) for k in range(n)]
+    return [(b, _beta_error(b)) for b in values]

@@ -43,9 +43,8 @@ def _float(f):
 
 
 def _beta_values(f):
-    def scaled(n, digits):
-        betas, terms = f(n, digits)
-        return [(b * SCALE, err) for b, err in betas], terms
+    def scaled(n):
+        return [(b * SCALE, err) for b, err in f(n)]
 
     return scaled
 

@@ -182,15 +182,21 @@ class TestCompute:
             ["compute", "J", "1", "--digits", "325"],
             ["compute", "J", "3", "--method", "euler_series", "--digits", "400"],
             ["table", "J", "--range", "1..3", "--digits", "325"],
+            ["compute", "J", "1", "--digits", "18"],
+            ["compute", "lambda", "3", "--digits", "300"],
+            ["compute", "J", "170", "--method", "closed", "--digits", "2000"],
+            ["table", "beta", "--range", "1..2", "--digits", "200000"],
         ],
-        ids=["quadrature", "euler_series", "table"],
+        ids=["quadrature", "euler_series", "table", "quadrature-18", "lambda-300", "closed-2000", "table-beta-200000"],
     )
     def test_target_underflow_is_usage_error(self, argv, capsys):
-        # 10^(1 - digits) is 0.0 from digits = 325
+        # a double holds at most 17 significant digits, so the parser rejects
+        # any larger count before evaluation, among them those from 325 on,
+        # whose target 10^(1 - digits) underflows to 0
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"usage error: digits={argv[-1]} is too large: the target 10^(1 - digits) underflows to 0\n"
+        assert captured.err.endswith(": error: argument --digits: digits must be an integer from 15 to 17\n")
 
     def test_convergence_failure_exit_code(self):
         # s this close to 0 makes the value huge and the absolute target
@@ -212,15 +218,21 @@ class TestCompute:
 
     def test_closed_work_does_not_grow_with_digits(self, capout):
         # the lambda/beta closed forms round once against a fixed pi, and the
-        # J closed forms cap their series terms: --digits changes no cost
-        assert run(["compute", "lambda", "2", "--method", "closed", "--digits", "15"]) == 0
-        expected = capout()
-        start = time.perf_counter()
-        assert run(["compute", "lambda", "2", "--method", "closed", "--digits", "200000"]) == 0
-        assert capout() == expected
-        assert run(["compute", "J", "170", "--method", "closed", "--digits", "2000"]) == 0
-        assert capout().startswith("J(170) = ")
-        assert time.perf_counter() - start < 2.0
+        # lambda/beta series, alone or inside the J closed forms, sum a fixed
+        # 24 terms: --digits changes neither a byte nor the work
+        for argv in (
+            ["compute", "lambda", "2", "--method", "closed"],
+            ["compute", "beta", "999", "--method", "closed"],
+            ["compute", "lambda", "3"],
+            ["compute", "beta", "2.5"],
+            ["compute", "J", "7", "--method", "closed"],
+            ["compute", "J", "170", "--method", "closed"],
+            ["table", "beta", "--range", "1..5"],
+        ):
+            assert run([*argv, "--digits", "15"]) == 0
+            expected = capout()
+            assert run([*argv, "--digits", "17"]) == 0
+            assert capout() == expected, argv
 
 
 # sha256 of the stdout of these commands before the exact constants were
@@ -539,8 +551,8 @@ def test_run_verification_script(tmp_path, extra):
     "argv,message",
     [
         (["verify", "thm1", "--tol", "abc"], "argument --tol: tol must be a finite number > 0"),
-        (["compute", "J", "1", "--digits", "abc"], "argument --digits: digits must be an integer >= 15"),
-        (["table", "J", "--range", "1..2", "--digits", "abc"], "argument --digits: digits must be an integer >= 15"),
+        (["compute", "J", "1", "--digits", "abc"], "argument --digits: digits must be an integer from 15 to 17"),
+        (["table", "J", "--range", "1..2", "--digits", "abc"], "argument --digits: digits must be an integer from 15 to 17"),
         (["compute", "J", "abc"], "argument arg: argument must be a finite number"),
         (["verify", "thm1", "--seed", "zz"], "argument --seed: seed must be an integer"),
         (["run_verification.py", "--seed", "zz"], "argument --seed: seed must be an integer"),

@@ -82,6 +82,13 @@ class TestQuadrature:
             part = math.fsum(c * math.exp(s * log_x) for log_x, c in _level_nodes(level))
             assert abs(part - ref) <= 8 * math.ulp(ref), (level, part, ref)
 
+    def test_estimate_bounds_error_against_mpmath(self):
+        # the rounding floor grows with s: at s = 7.3 the error was 3.0 times
+        # a floor of 4 ulp
+        grid = [0.05 + 0.1 * i for i in range(400)] + [7.3, 8]
+        results = {s: j_quadrature(s) for s in grid}
+        assert [s for s, r in results.items() if abs(r.value - _mpmath_j(s)) > r.error_estimate] == []
+
     def test_thread_safety_of_node_cache(self):
         import dirichlet_j.jfun as jf
 
@@ -211,13 +218,21 @@ class TestEulerSeries:
                 assert abs(r.value - ref) <= 10.0 ** (1 - digits) * ref, (digits, r, ref)
 
 
-def _mpmath_j(n):
-    # (2/pi)/n! * integral_0^{pi/2} x^n / sin x dx at 30 digits; the integrand
-    # is smooth for integer n >= 1
+def _mpmath_j(s):
+    # (2/pi)/Gamma(s+1) * integral_0^{pi/2} x^s / sin x dx at 40 digits, from
+    # 1/sin x = sum_k c_k x^(2k-1): the coefficients
+    # c_k = (-1)^(k+1) 2 (2^(2k-1) - 1) B_2k / (2k)! are positive, c_0 = 1
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        integral = mpmath.quad(lambda x: x**n / mpmath.sin(x), [0, mpmath.pi / 2])
-        return float(integral * 2 / mpmath.pi / mpmath.factorial(n))
+    with mpmath.workdps(40):
+        s, h = mpmath.mpf(s), mpmath.pi / 2
+        total, k = h**s / s, 1
+        while True:
+            c = (-1) ** (k + 1) * 2 * (2 ** (2 * k - 1) - 1) * mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+            term = c * h ** (s + 2 * k) / (s + 2 * k)
+            total += term
+            if term < mpmath.mpf(10) ** -45 * total:
+                return 2 / mpmath.pi / mpmath.gamma(s + 1) * total
+            k += 1
 
 
 class TestRiemannSum:
@@ -287,8 +302,6 @@ class TestClosedForms:
             for n in (0, 1.5, 2.0, True):
                 with pytest.raises(ValueError, match="n must be an integer >= 1"):
                     route(n)
-            with pytest.raises(ValueError, match="digits"):
-                route(1, 0)
 
     def test_domain_ends_below_171(self):
         # J(169) and J(170) are the last arguments in the domain (the values
@@ -298,8 +311,7 @@ class TestClosedForms:
             with pytest.raises(ValueError, match="s <= 170.62"):
                 route(n)
 
-    @pytest.mark.parametrize("digits", [15, 17, 30])
-    def test_bit_identical_to_uncached_factors(self, digits):
+    def test_bit_identical_to_uncached_factors(self):
         # (pi/2)^j / j! evaluated afresh per term, as the closed forms state it
         def factor(j):
             return PiPoly(Fraction(1, 2**j * math.factorial(j)), j).evalf()
@@ -307,23 +319,23 @@ class TestClosedForms:
         for n in range(1, 61):
             acc, err, work = 0.0, 0.0, 0
             for k in range(n):
-                b = beta_numeric(2 * n - 2 * k, digits)
+                b = beta_numeric(2 * n - 2 * k)
                 acc += (-1) ** k * b.value * factor(2 * k)
                 err += b.error_estimate * factor(2 * k)
                 work += b.work
-            odd = j_closed_odd(n, digits)
+            odd = j_closed_odd(n)
             assert odd.value == (-1) ** (n - 1) * acc * 4.0 / math.pi
             assert odd.error_estimate == (err + 4.0 * math.ulp(1.0) * abs(acc)) * 4.0 / math.pi
             assert odd.work == work
 
-            lam = lambda_numeric(2 * n + 1, digits)
+            lam = lambda_numeric(2 * n + 1)
             acc, err, work = lam.value, lam.error_estimate, lam.work
             for k in range(n):
-                b = beta_numeric(2 * n - 2 * k, digits)
+                b = beta_numeric(2 * n - 2 * k)
                 acc -= (-1) ** k * b.value * factor(2 * k + 1)
                 err += b.error_estimate * factor(2 * k + 1)
                 work += b.work
-            even = j_closed_even(n, digits)
+            even = j_closed_even(n)
             assert even.value == (-1) ** n * acc * 4.0 / math.pi
             assert even.error_estimate == (err + 4.0 * math.ulp(1.0) * abs(acc)) * 4.0 / math.pi
             assert even.work == work
@@ -349,9 +361,9 @@ class TestClosedForms:
         j_closed_even(20)
         calls = []
 
-        def counting_beta(s, digits=15):
+        def counting_beta(s):
             calls.append(s)
-            return beta_numeric(s, digits)
+            return beta_numeric(s)
 
         monkeypatch.setattr(special, "beta_numeric", counting_beta)
         monkeypatch.setattr(jfun, "beta_numeric", counting_beta, raising=False)
@@ -364,28 +376,28 @@ class TestClosedForms:
 
 
 # sha256 of (value, error_estimate, work) in hex over this grid, taken while
-# the closed forms still called beta_numeric once per beta value: reading
-# the betas from the accelerated-series kernel must not move a bit
-CLOSED_PIN_SHA256 = "391984546db26fff19b0c9d7e2afcfe031c0163b690098275720c32709cdb865"
+# the closed forms took a digit count, from its default (15 digits, 24-term
+# series): the fixed-length series must not move a bit
+CLOSED_PIN_SHA256 = "5c02300ba664a7e102f323b84ab7ddbbd4de6b2ee0873a7689e99a2b4d18b26d"
 
 
 def _closed_pin_lines():
     lines = []
     for n in range(1, 86):
-        for digits in (1, 5, 15, 17, 20, 30, 100, 400):
-            for tag, route in (("o", j_closed_odd), ("e", j_closed_even)):
-                r = route(n, digits)
-                lines.append(f"{tag} {n} {digits} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
+        for tag, route in (("o", j_closed_odd), ("e", j_closed_even)):
+            r = route(n)
+            lines.append(f"{tag} {n} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
     return lines
 
 
 # sha256 of (value, error_estimate, work) in hex over these grids.  The
-# quadrature pin was taken before `digits` replaced the absolute tolerance
-# arguments, and the change of argument must not move a bit.  The series pin
-# was taken when its target became relative to J and it began to read the
-# exact (pi/2)^n / n! and the shared up/down table.
+# quadrature pin was taken when its rounding floor became 2 (s+4) eps |J|;
+# values and work are those from before `digits` replaced the absolute
+# tolerance arguments.  The series pin was taken when its target became
+# relative to J and it began to read the exact (pi/2)^n / n! and the shared
+# up/down table.
 PIN_S = (0.05, 0.5, 1, 2, 3.7, 8, 18, 40, 150)
-QUADRATURE_PIN_SHA256 = "2082b626288e691cca199908b03cf65981f094278fc2bb9a71aa31224d9adef9"
+QUADRATURE_PIN_SHA256 = "81540060e09765fd0fe64fd3953cc15ca8ab6a1879b6c986a47b1aa3fb0e33d2"
 SERIES_PIN_SHA256 = "57c19f919fc5fffce87a5ecffbb27f7639df3ff96d44bcaded3f029ff03642c9"
 
 
