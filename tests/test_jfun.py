@@ -311,11 +311,16 @@ class TestClosedForms:
             with pytest.raises(ValueError, match="s <= 170.62"):
                 route(n)
 
-    def test_bit_identical_to_uncached_factors(self):
+    @pytest.mark.parametrize("warm", [15, 17, 30])
+    def test_bit_identical_to_uncached_factors(self, warm):
         # (pi/2)^j / j! evaluated afresh per term, as the closed forms state it
         def factor(j):
             return PiPoly(Fraction(1, 2**j * math.factorial(j)), j).evalf()
 
+        # the factor cache, filled up to j = 2 warm + 1 and then grown on demand,
+        # gives the same values as a cold one
+        jfun._half_pi_factor.cache_clear()
+        j_closed_even(warm)
         for n in range(1, 61):
             acc, err, work = 0.0, 0.0, 0
             for k in range(n):

@@ -213,12 +213,16 @@ def test_kernel_matches_callable_form(step, s):
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 85])
-def test_beta_even_matches_beta_numeric(n):
+@pytest.mark.parametrize("other", [1, 15, 40, 400])
+def test_beta_even_matches_beta_numeric(n, other):
     betas = _beta_even(n)
     assert len(betas) == n
     for k, (value, err) in enumerate(betas):
         b = beta_numeric(2 * n - 2 * k)
         assert (value, err, _TERMS) == (b.value, b.error_estimate, b.work)
+    # beta(2), beta(4), ... come out the same whatever the list's length
+    shared = min(n, other)
+    assert _beta_even(other)[other - shared :] == betas[n - shared :]
 
 
 def _brute_alternating(a_fn, n_terms):
