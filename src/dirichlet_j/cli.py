@@ -154,7 +154,7 @@ def _lemmas(span, tol, seed, deep) -> list[dj.IdentityReport]:
     for case, x in enumerate((1.0, math.pi / 3)):
         closed = -0.5 * math.log(math.tan(x / 2.0))
         series = dj.log_tan_series(x, terms)
-        reports.append(dj.identities._numeric_report("lemma7", (case,), series, closed, tol=log_tol))
+        reports.append(dj.IdentityReport("lemma7", (case,), series, closed, tol=log_tol))
     reports.append(dj.csc_taylor_check(8))
     return reports
 
@@ -358,7 +358,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "compute":
             value, method, err, work = _compute(args.function, args.arg, args.method, args.digits)
-            line = f"{args.function}({args.arg}) = {_fmt_float(value)}\n"
+            arg = float(args.arg) if abs(args.arg) >= 1e16 else args.arg  # 1e+308, not 309 digits
+            line = f"{args.function}({arg}) = {_fmt_float(value)}\n"
             line += f"method: {method}"
             if err is not None:
                 line += f"   error estimate: {err:.2e}"

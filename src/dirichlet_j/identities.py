@@ -51,17 +51,29 @@ _LEIBNIZ_BETA_1 = PiPoly(Fraction(1, 4), 1)  # beta(1) = pi/4 from Leibniz's ser
 
 
 class IdentityReport(_Record):
+    """One check of an identity: its two sides and its tolerance, from which
+    the constructor works out abs_diff, exact and passed.  The check is exact
+    when lhs is a PiPoly: it passes only on equal sides, and abs_diff is 0.0
+    then, else |lhs - rhs| as a float (inf where that overflows).  A numeric
+    check has abs_diff = |lhs - rhs| and passes when abs_diff <= tol."""
+
     __slots__ = ("identity_id", "params", "lhs", "rhs", "abs_diff", "exact", "passed", "tol")
 
-    def __init__(self, identity_id: str, params: tuple[int, ...], lhs: Side, rhs: Side, abs_diff: float,
-                 exact: bool, passed: bool, tol: float = 0.0):
-        self._assign(identity_id, params, lhs, rhs, abs_diff, exact, passed, tol)
+    def __init__(self, identity_id: str, params: tuple[int, ...], lhs: Side, rhs: Side, tol: float = 0.0):
+        exact = isinstance(lhs, PiPoly)
+        if exact:
+            passed = lhs == rhs
+            try:
+                diff = 0.0 if passed else abs((lhs - rhs).evalf())
+            except OverflowError:  # float() of a huge Fraction
+                diff = math.inf
+        else:
+            diff = abs(lhs - rhs)
+            passed = diff <= tol
+        self._assign(identity_id, params, lhs, rhs, diff, exact, passed, tol)
 
-
-def _exact_report(identity_id: str, params: tuple[int, ...], lhs: PiPoly, rhs: PiPoly) -> IdentityReport:
-    equal = lhs == rhs
-    diff = 0.0 if equal else abs((lhs - rhs).evalf())
-    return IdentityReport(identity_id, params, lhs, rhs, diff, exact=True, passed=equal)
+    def __reduce__(self):
+        return type(self), (self.identity_id, self.params, self.lhs, self.rhs, self.tol)
 
 
 def _check_kind(kind: Kind) -> None:
@@ -77,19 +89,12 @@ def _check_tol(tol: float | None) -> None:
 
 
 def _numeric_report(
-    identity_id: str,
-    params: tuple[int, ...],
-    lhs: float,
-    rhs: float,
-    err_budget: float = 0.0,
-    tol: float | None = None,
+    identity_id: str, params: tuple[int, ...], lhs: float, rhs: float, err_budget: float, tol: float | None
 ) -> IdentityReport:
-    """A numeric check passing when |lhs - rhs| <= tol; tol defaults to
-    100 err_budget, floored at TOL_FLOOR."""
+    """A numeric check whose tol defaults to 100 err_budget, floored at TOL_FLOOR."""
     if tol is None:
         tol = max(TOL_FLOOR, 100.0 * err_budget)
-    diff = abs(lhs - rhs)
-    return IdentityReport(identity_id, params, lhs, rhs, diff, exact=False, passed=diff <= tol, tol=tol)
+    return IdentityReport(identity_id, params, lhs, rhs, tol)
 
 
 def _j_sum_report(
@@ -182,7 +187,7 @@ def check_remark1(m: int) -> tuple[IdentityReport, IdentityReport]:
         lhs = beta1 * _half_pi_term(e)
         lambda_sum = _at_half_pi(lambda_terms)
         rhs = value - lambda_sum if sign > 0 else lambda_sum - value
-        reports.append(_exact_report(identity_id, (m,), lhs, rhs))
+        reports.append(IdentityReport(identity_id, (m,), lhs, rhs))
     return tuple(reports)
 
 
@@ -210,7 +215,7 @@ def check_collapse(m: int) -> list[IdentityReport]:
         else:
             k = (q + 1) // 2
             expected = (-1) ** (k - 1) * (beta_odd_closed(m - k + 1) if k < m else _LEIBNIZ_BETA_1)
-        reports.append(_exact_report("collapse", (m, q), coeff, expected))
+        reports.append(IdentityReport("collapse", (m, q), coeff, expected))
     return reports
 
 
@@ -301,12 +306,10 @@ def check_fourier(
 ) -> IdentityReport:
     """Partial sum vs polynomial closed form at a single point, at the fixed
     tolerance 1e-5: it covers the series tail at 1e6 terms for every order >= 2."""
-    _check_order(m, "m")
-    order = 2 * m + 1 if kind == "sine" else 2 * m
-    lhs = fourier_partial(kind, order, x, terms)
-    rhs = fourier_closed(kind, m, x)
+    rhs = fourier_closed(kind, m, x)  # first: it checks kind, m and x before the sum is paid for
+    lhs = fourier_partial(kind, 2 * m + 1 if kind == "sine" else 2 * m, x, terms)
     if identity_id is None:
         identity_id = "eq_a3" if kind == "sine" else "eq_a4"
     if params is None:
         params = (m,)
-    return _numeric_report(identity_id, params, lhs, rhs, tol=1e-5)
+    return IdentityReport(identity_id, params, lhs, rhs, tol=1e-5)

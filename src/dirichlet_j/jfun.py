@@ -20,6 +20,7 @@ the exact (pi/2)^j / j! table.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from math import factorial
 
@@ -37,7 +38,8 @@ __all__ = [
 
 _EPS = math.ulp(1.0)
 _HALF_PI = math.pi / 2.0
-_OVERFLOW = "Gamma({} + 1) overflows a double: J(s) requires s <= 170.62"
+_S_MAX = 170.62  # Gamma(_S_MAX + 1) = 1.758e308 stays 2.2 % below the largest double
+_OVERFLOW = f"Gamma({{}} + 1) overflows a double: J(s) requires s <= {_S_MAX}"
 
 
 class ConvergenceError(RuntimeError):
@@ -55,18 +57,17 @@ def _target(digits: int) -> float:
 
 
 def _check_domain(s: float) -> None:
-    """Rejects s outside 0 < s < 171 before any work; `_gamma_s_plus_1` rejects 170.62 < s < 171."""
+    """Rejects s outside 0 < s <= _S_MAX before any work, so that Gamma(s+1)
+    is a finite double.  The message shows an integral s of 1e16 or more, up
+    to the largest double, in the shortest float form."""
     if not 0 < s < math.inf:
         raise ValueError("J(s) requires finite s > 0")
-    if s >= 171:
-        raise ValueError(_OVERFLOW.format(s))
+    if s > _S_MAX:
+        raise ValueError(_OVERFLOW.format(float(s) if 1e16 <= s <= sys.float_info.max else s))
 
 
 def _gamma_s_plus_1(s: float) -> float:
-    try:
-        return float(factorial(int(s))) if float(s).is_integer() else math.gamma(s + 1.0)
-    except OverflowError:
-        raise ValueError(_OVERFLOW.format(s)) from None
+    return float(factorial(int(s))) if float(s).is_integer() else math.gamma(s + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,7 @@ class TestCompute:
             (["compute", "J", "2000", "--method", "euler_series"], "s <= 170.62"),
             (["compute", "J", "1000000"], "s <= 170.62"),
             (["compute", "J", "1000000", "--method", "riemann"], "s <= 170.62"),
+            (["compute", "J", "170.624"], "s <= 170.62"),
         ],
         ids=[
             "beta-nan",
@@ -147,6 +148,7 @@ class TestCompute:
             "J-2000-euler_series",
             "J-1000000",
             "J-1000000-riemann",
+            "J-170.624",
         ],
     )
     def test_argument_outside_domain_is_usage_error(self, argv, domain, capsys):
@@ -168,6 +170,22 @@ class TestCompute:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"usage error: closed form for {fn} needs an argument <= 1000\n"
+
+    def test_huge_integral_argument_prints_as_a_float(self, capsys):
+        # the argument stays an int for the closed routes, but from 1e16 on
+        # it prints in the shortest float form, not as a 309-digit integer
+        assert run(["compute", "beta", "1e308"]) == 0
+        assert capsys.readouterr().out.startswith("beta(1e+308) = 1\n")
+        assert run(["compute", "lambda", "1e16"]) == 0
+        assert capsys.readouterr().out.startswith("lambda(1e+16) = 1\n")
+        assert run(["compute", "lambda", "1e15"]) == 0
+        assert capsys.readouterr().out.startswith("lambda(1000000000000000) = 1\n")
+        assert run(["compute", "J", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: Gamma(1e+308 + 1) overflows a double: J(s) requires s <= 170.62\n"
+        assert len(err) < 200
+        assert run(["compute", "J", "9999999999999998"]) == 2
+        assert "Gamma(9999999999999998 + 1)" in capsys.readouterr().err
 
     def test_closed_form_at_bound(self, capout):
         assert CLOSED_MAX == 1000
@@ -448,31 +466,29 @@ class TestEmitReport:
         assert emit_report([], "json") == "[]"
 
     def test_exact_csv_row(self):
-        report = IdentityReport(
-            "remark1_a", (1,), PiPoly(1, 2), PiPoly(1, 2), 0.0, exact=True, passed=True
-        )
+        report = IdentityReport("remark1_a", (1,), PiPoly(1, 2), PiPoly(1, 2))
         text = emit_report([report], "csv")
         lines = text.splitlines()
         assert lines[0] == "identity_id,params,lhs,rhs,abs_diff,exact,pass"
         assert lines[1] == "remark1_a,1,pi^2,pi^2,0,true,true"
 
     def test_mixed_text_markers(self):
-        ok = IdentityReport("thm1", (1,), 1.0, 1.0, 0.0, exact=False, passed=True)
-        bad = IdentityReport("thm1", (2,), 1.0, 2.0, 1.0, exact=False, passed=False)
+        ok = IdentityReport("thm1", (1,), 1.0, 1.0)
+        bad = IdentityReport("thm1", (2,), 1.0, 2.0)
         text = emit_report([ok, bad], "text")
         assert "✓" in text and "✗" in text
         assert "max abs_diff" in text
 
     def test_floats_render_17_digits(self):
         value = 1.0517997902646449
-        report = IdentityReport("thm1", (1,), value, value, 0.0, exact=False, passed=True)
+        report = IdentityReport("thm1", (1,), value, value)
         out = emit_report([report], "json")
         assert json.loads(out)[0]["lhs"] == value
 
     def test_non_finite_sides_are_json_strings(self):
         reports = [
-            IdentityReport("thm1", (1,), math.inf, -math.inf, math.inf, exact=False, passed=False),
-            IdentityReport("thm1", (2,), math.nan, 1.0, math.nan, exact=False, passed=False),
+            IdentityReport("thm1", (1,), math.inf, -math.inf),
+            IdentityReport("thm1", (2,), math.nan, 1.0),
         ]
         rows = _strict_json(emit_report(reports, "json"))
         assert [(r["lhs"], r["rhs"], r["abs_diff"]) for r in rows] == [("inf", "-inf", "inf"), ("nan", 1.0, "nan")]

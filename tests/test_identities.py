@@ -9,7 +9,7 @@ import pytest
 
 import dirichlet_j
 from dirichlet_j import identities
-from dirichlet_j.cli import run
+from dirichlet_j.cli import run, suite_reports
 from dirichlet_j.exact import PiPoly, _half_pi_term
 from dirichlet_j.identities import (
     check_collapse,
@@ -18,6 +18,7 @@ from dirichlet_j.identities import (
     check_theorem1,
     check_theorem2,
     check_theorem4,
+    IdentityReport,
     fourier_closed,
     fourier_partial,
 )
@@ -101,6 +102,51 @@ class TestTheoremReportsPinned:
         ]
         assert len(lines) == 230
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == THEOREM_PIN_SHA256
+
+
+# sha256 over every field of every report of the default thm1, thm2, thm4,
+# remark1, collapse and lemmas suites, less the two lemma7 rows, whose sums
+# go through BLAS: their last bits can depend on the machine
+REPORT_PIN_SHA256 = "8b5ed6f2136d6cc0ebe56c8f3c4367c2b6629aafe4bc06f8852c25db64c12c7d"
+
+
+def test_every_report_field_pinned():
+    lines = [
+        f"{r.identity_id} {r.params} {r.lhs!r} {r.rhs!r} {r.abs_diff!r} {r.exact} {r.passed} {r.tol!r}"
+        for suite in ("thm1", "thm2", "thm4", "remark1", "collapse", "lemmas")
+        for r in suite_reports(suite)
+        if r.identity_id != "lemma7"
+    ]
+    assert len(lines) == 447
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REPORT_PIN_SHA256
+
+
+class TestIdentityReport:
+    """The constructor works out abs_diff, exact and passed from the sides and tol."""
+
+    def test_exact_when_lhs_is_a_pipoly(self):
+        r = IdentityReport("remark1_a", (1,), PiPoly(Fraction(1, 3), 2), PiPoly(Fraction(1, 3), 2))
+        assert (r.abs_diff, r.exact, r.passed, r.tol) == (0.0, True, True, 0.0)
+        r = IdentityReport("remark1_a", (1,), PiPoly(Fraction(1, 3), 2), PiPoly(Fraction(1, 4), 2))
+        assert (r.exact, r.passed) == (True, False)
+        assert r.abs_diff == (PiPoly(Fraction(1, 12), 2)).evalf() > 0.0
+
+    def test_exact_ignores_tol(self):
+        # equal sides only, however large the tolerance
+        assert not IdentityReport("collapse", (1, 0), PiPoly(1), PiPoly(2), tol=10.0).passed
+
+    def test_exact_difference_past_a_double_is_inf(self):
+        r = IdentityReport("lemma8", (1,), PiPoly(10**400), PiPoly(-(10**400)))
+        assert (r.abs_diff, r.exact, r.passed) == (math.inf, True, False)
+
+    @pytest.mark.parametrize("lhs,rhs,tol,passed", [(1.0, 1.5, 0.5, True), (1.0, 1.5, 0.25, False), (2.0, 2.0, 0.0, True)])
+    def test_numeric_passes_within_tol(self, lhs, rhs, tol, passed):
+        r = IdentityReport("thm1", (1,), lhs, rhs, tol)
+        assert (r.abs_diff, r.exact, r.passed, r.tol) == (abs(lhs - rhs), False, passed, tol)
+
+    def test_nan_side_fails(self):
+        r = IdentityReport("thm1", (1,), math.nan, 1.0, tol=1.0)
+        assert math.isnan(r.abs_diff) and not r.passed
 
 
 class TestRemark1:
@@ -364,6 +410,17 @@ class TestFourierClosed:
             fourier_closed("sine", 1, -0.1)
         with pytest.raises(ValueError):
             fourier_closed("sine", 1, 2.0)
+
+
+def test_check_fourier_rejects_x_before_summing(monkeypatch):
+    # the closed side checks x first, so a bad x costs no 1e6-term sum
+    def no_sum(*args):
+        raise AssertionError("summed before x was checked")
+
+    monkeypatch.setattr(identities, "_odd_harmonic_sum", no_sum)
+    for x in (2.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, pi/2\]"):
+            check_fourier("sine", 1, x, 10**6)
 
 
 class TestFourierEquality:

@@ -62,6 +62,23 @@ class TestQuadrature:
             with pytest.raises(ValueError):
                 j_quadrature(s)
 
+    def test_domain_ends_at_one_bound(self, monkeypatch):
+        # Gamma(170.62 + 1) = 1.758e308 is a finite double; one step above the
+        # bound both routes reject s before building a level or taking Gamma
+        assert j_quadrature(170.62).value > 0.0
+        assert j_riemann_sum(170.62, 10) > 0.0
+
+        def no_work(*args):
+            raise AssertionError("work done before the domain check")
+
+        monkeypatch.setattr(jfun, "_level_nodes", no_work)
+        monkeypatch.setattr(jfun, "_gamma_s_plus_1", no_work)
+        s = math.nextafter(170.62, math.inf)
+        with pytest.raises(ValueError, match=r"s <= 170\.62"):
+            j_quadrature(s)
+        with pytest.raises(ValueError, match=r"s <= 170\.62"):
+            j_riemann_sum(s, 10)
+
     @pytest.mark.parametrize("s", [1e-8, 1e-3])
     def test_near_zero_fails_to_converge(self, s):
         with pytest.raises(ConvergenceError):

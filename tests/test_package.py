@@ -119,6 +119,28 @@ def test_numpy_imported_by_one_function():
     assert scopes == ["identities._odd_harmonic_sum"]
 
 
+def test_cli_reads_no_private_library_name():
+    # the CLI is a client of the public API: it imports and reads no
+    # underscore-prefixed name of another dirichlet_j module
+    tree = ast.parse(Path(dirichlet_j.__file__).with_name("cli.py").read_text())
+    modules = set()  # local names bound to the package or its modules
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.split(".")[0] for a in node.names if a.name.split(".")[0] == "dirichlet_j")
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "dirichlet_j"):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+            modules.update(a.asname or a.name for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                private.append(ast.unparse(node))
+    assert modules and private == []
+
+
 # ---------------------------------------------------------------------------
 # the immutable records
 # ---------------------------------------------------------------------------
@@ -133,8 +155,13 @@ RECORDS = {
         ("value", "error_estimate", "method", "work"),
     ),
     "IdentityReport": (
-        lambda: IdentityReport("thm1", (1,), 1.0, 1.0, 0.0, exact=False, passed=True),
-        lambda: IdentityReport("thm1", (1,), 1.0, 1.0, 0.0, exact=False, passed=True, tol=1e-10),
+        lambda: IdentityReport("thm1", (1,), 1.0, 1.0),
+        lambda: IdentityReport("thm1", (1,), 1.0, 1.0, tol=1e-10),
+        ("identity_id", "params", "lhs", "rhs", "abs_diff", "exact", "passed", "tol"),
+    ),
+    "IdentityReport-exact": (
+        lambda: IdentityReport("collapse", (2, 1), PiPoly(Fraction(1, 3), 2), PiPoly(Fraction(1, 4), 2)),
+        lambda: IdentityReport("collapse", (2, 1), PiPoly(Fraction(1, 3), 2), PiPoly(Fraction(1, 3), 2)),
         ("identity_id", "params", "lhs", "rhs", "abs_diff", "exact", "passed", "tol"),
     ),
     "PiPoly": (
@@ -184,14 +211,14 @@ def test_record_repr_names_class_and_fields():
         "EvalResult(value=1.0, error_estimate=0.001, method='quadrature', work=5)"
     )
     assert repr(PiPoly(Fraction(-1, 2), 3)) == "PiPoly(-1/2*pi^3)"
-    assert repr(IdentityReport("thm2", (1, 2), 1.0, 2.0, 1.0, exact=False, passed=False)) == (
+    assert repr(IdentityReport("thm2", (1, 2), 1.0, 2.0)) == (
         "IdentityReport(identity_id='thm2', params=(1, 2), lhs=1.0, rhs=2.0, abs_diff=1.0, "
         "exact=False, passed=False, tol=0.0)"
     )
 
 
 def test_record_defaults_and_keywords():
-    assert IdentityReport("x", (), 0.0, 0.0, 0.0, True, True).tol == 0.0
+    assert IdentityReport("x", (), 0.0, 0.0).tol == 0.0
     assert PiPoly() == PiPoly(coeff=0, exp=0) and PiPoly(exp=2).exp == 0
     assert EvalResult(value=2.0, error_estimate=0.0, method="closed_form", work=0).value == 2.0
 
