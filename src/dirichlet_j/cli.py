@@ -149,18 +149,20 @@ def _lemmas(span, tol, seed, deep) -> list[dj.IdentityReport]:
             n = rng.randint(1, 50)
             x = rng.uniform(0.05, math.pi / 2 - 0.05)
             reports.append(dj.trig_sum_check(variant, n, x, case=case))
-    terms = 10**6 if deep else 10**4
-    log_tol = 1e-5 if deep else 1e-3
     for case, x in enumerate((1.0, math.pi / 3)):
         closed = -0.5 * math.log(math.tan(x / 2.0))
-        series = dj.log_tan_series(x, terms)
+        if deep:  # 1e6 terms: the tail is at most 1/((2e6 + 1) sin x), below 1e-5
+            series, log_tol = dj.log_tan_series(x, 10**6), 1e-5
+        else:  # the full series; tol adds its estimate and the closed side's rounding
+            full = dj.odd_harmonic_series("cosine", 1, x)
+            series, log_tol = full.value, full.error_estimate + 4 * math.ulp(1.0 + abs(closed))
         reports.append(dj.IdentityReport("lemma7", (case,), series, closed, tol=log_tol))
     reports.append(dj.csc_taylor_check(8))
     return reports
 
 
 def _fourier(span, tol, seed, deep) -> list[dj.IdentityReport]:
-    terms = 10**6 if deep else 2 * 10**4
+    terms = 10**6 if deep else None  # None: the full series, at its own error estimate
     reports = []
     for i in range(16):
         x = i * (math.pi / 2) / 15
@@ -175,7 +177,7 @@ def _fourier(span, tol, seed, deep) -> list[dj.IdentityReport]:
 
 # Each suite maps (range or None, tol, seed, deep) to its reports; --range
 # sets m (or n) for the first five.  lemmas and fourier run fixed points at
-# fixed tolerances, so `verify lemmas|fourier` rejects --tol and --range;
+# tolerances of their own, so `verify lemmas|fourier` rejects --tol and --range;
 # remark1 and collapse are exact, so `verify remark1|collapse` rejects --tol.
 _FIXED_SUITES = ("lemmas", "fourier")
 _EXACT_SUITES = ("remark1", "collapse")

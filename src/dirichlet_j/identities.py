@@ -15,6 +15,8 @@ Identity catalog (ids used in reports and by the CLI):
   eq_a2      sine series of order 3 vs lambda(2) x - beta(1) x^2/2
   eq_a3      sine series of order 2m+1 vs its polynomial closed form
   eq_a4      cosine series of order 2m vs its polynomial closed form
+             (eq_a*: the full series from its Euler-Boole tail, at its error
+             estimate; with a term count, that partial sum at 1e-5)
   collapse   coefficients of J(q) in the beta(2m) expansion: even q collapse
              to zero, odd q to beta closed forms (exact)
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Literal, Union
 
@@ -40,6 +43,7 @@ __all__ = [
     "check_fourier",
     "fourier_partial",
     "fourier_closed",
+    "odd_harmonic_series",
 ]
 
 _EPS = math.ulp(1.0)
@@ -296,20 +300,89 @@ def fourier_closed(kind: Kind, m: int, x: float) -> float:
     return acc
 
 
+_TAIL_STEPS = 24  # the Abel steps R of the Euler-Boole tail
+_MAX_TERMS = 1 << 16  # direct terms N at the smallest x accepted, about 3.7e-4
+
+
+@lru_cache(maxsize=32)
+def _euler_boole_table(order: int, terms: int) -> tuple[tuple[float, ...], float, float, tuple[float, ...]]:
+    """a_1..a_N, sum a_k (2k-1), sum a_k and D^r a_{N+1} for r < R, each float
+    rounded once: the differences are exact integers over one denominator."""
+    odd = range(1, 2 * terms, 2)
+    weights = tuple(1 / a**order for a in odd)
+    denominators = [(2 * (terms + j) + 1) ** order for j in range(_TAIL_STEPS)]
+    common = math.prod(denominators)
+    row = [common // d for d in denominators]
+    diffs = []
+    while row:
+        diffs.append(row[0] / common)
+        row = [b - a for a, b in zip(row, row[1:])]
+    return weights, math.fsum(w * a for w, a in zip(weights, odd)), math.fsum(weights), tuple(diffs)
+
+
+def odd_harmonic_series(kind: Kind, order: int, x: float) -> EvalResult:
+    """sum_{k>=1} a_k sin((2k-1)x) (or cos), a_k = (2k-1)^-order, on [0, pi/2].
+
+    N terms are summed directly, N the smallest power of two >= 64 with
+    2N sin x >= 48.  R Abel steps against the geometric sums of the paper's
+    Lemma 1 (Euler-Boole summation: Borwein, Calkin & Manna, Amer. Math.
+    Monthly 116, 2009) give the tail as the imaginary (sine) or real part of
+    i e^{2iNx} sum_{r<R} q^{r+1} D^r a_{N+1} u^r, q = 1/(2 sin x), u = i e^{ix};
+    a_k is completely monotone, so they leave out at most |D^{R-1} a_{N+1}| q^R.
+    error_estimate adds a rounding bound; work is N.  An order above 1074 and
+    an x that would need N > _MAX_TERMS (the cosine series at 0 included)
+    are rejected."""
+    _check_kind(kind)
+    _check_order(order, "order")
+    if order > 1074:  # the exact differences would cost seconds; every a_k past a_1 is below 2^-1074 there
+        raise ValueError(f"order must be at most 1074, not {order!r}")
+    if not 0.0 <= x <= math.pi / 2 + 4 * _EPS:
+        raise ValueError("x must lie in [0, pi/2]")
+    if x == 0.0 and kind == "sine":
+        return EvalResult(0.0, 0.0, "euler_boole", 1)  # every term is sin(0) = 0
+    sin_x = math.sin(x)
+    terms = 64
+    while 2 * terms * sin_x < 48:
+        terms *= 2
+        if terms > _MAX_TERMS:
+            raise ValueError(f"x must be at least about 3.7e-4: {x!r} needs more than {_MAX_TERMS} direct terms")
+    weights, weighted_odd, weight_sum, diffs = _euler_boole_table(order, terms)
+    q = 0.5 / sin_x
+    coeffs = [d * q ** (r + 1) for r, d in enumerate(diffs)]
+    poly, u = 0j, complex(-sin_x, math.cos(x))
+    for c in reversed(coeffs):
+        poly = poly * u + c
+    tail = 1j * complex(math.cos(2 * terms * x), math.sin(2 * terms * x)) * poly  # 2Nx is exact
+    trig = math.sin if kind == "sine" else math.cos
+    head = [w * trig(a * x) for a, w in zip(range(1, 2 * terms, 2), weights)]
+    value = math.fsum([*head, tail.imag if kind == "sine" else tail.real])
+    # each direct term rounds its angle (2k-1)x, its trig call and its weight
+    rounding = x / 2 * weighted_odd + 2 * weight_sum + abs(value) + 4 * (_TAIL_STEPS + 2) * math.fsum(map(abs, coeffs))
+    return EvalResult(value, abs(diffs[-1]) * q**_TAIL_STEPS + _EPS * rounding, "euler_boole", terms)
+
+
 def check_fourier(
     kind: Kind,
     m: int,
     x: float,
-    terms: int,
+    terms: int | None = None,
     params: tuple[int, ...] | None = None,
     identity_id: str | None = None,
 ) -> IdentityReport:
-    """Partial sum vs polynomial closed form at a single point, at the fixed
-    tolerance 1e-5: it covers the series tail at 1e6 terms for every order >= 2."""
-    rhs = fourier_closed(kind, m, x)  # first: it checks kind, m and x before the sum is paid for
-    lhs = fourier_partial(kind, 2 * m + 1 if kind == "sine" else 2 * m, x, terms)
+    """Series vs polynomial closed form at a single point.  terms=None: the
+    full series, at tol = its error estimate + the closed side's rounding (at
+    most 8 ulp of its absolute terms, whose coefficients are below 1.25, so
+    of 1.25 e^x).  An int terms: that partial sum at the fixed tol 1e-5, which
+    covers the tail after 1e6 terms (the --deep rows) for every order >= 2."""
+    rhs = fourier_closed(kind, m, x)  # first: it checks kind, m and x before the series is paid for
+    order = 2 * m + 1 if kind == "sine" else 2 * m
+    if terms is None:
+        series = odd_harmonic_series(kind, order, x)
+        lhs, tol = series.value, series.error_estimate + 10 * _EPS * math.exp(x)
+    else:
+        lhs, tol = fourier_partial(kind, order, x, terms), 1e-5
     if identity_id is None:
         identity_id = "eq_a3" if kind == "sine" else "eq_a4"
     if params is None:
         params = (m,)
-    return IdentityReport(identity_id, params, lhs, rhs, tol=1e-5)
+    return IdentityReport(identity_id, params, lhs, rhs, tol)

@@ -24,7 +24,7 @@ __all__ = [
     "beta_numeric",
 ]
 
-Method = Literal["closed_form", "accelerated_series", "quadrature", "euler_series", "riemann_sum"]
+Method = Literal["closed_form", "accelerated_series", "quadrature", "euler_series", "riemann_sum", "euler_boole"]
 
 _EPS = math.ulp(1.0)
 # the accelerated sum's error decays like _ACCEL_RATE^-terms: at 24 terms it is

@@ -59,8 +59,6 @@ def _last_plus_one(f):
 
 UNREAD = "no check of the suite reads it"
 EXACT = "the suite compares exact pi-monomials, so no float or value of pi reaches a verdict"
-FOURIER_TOL = "fourier reads it, but its fixed tolerance 1e-5 is far above a 1e-9 error"
-LEMMA7_TOL = "lemma7 reads it, but its fixed tolerance 1e-3 is far above a 1e-9 error"
 
 
 def _blind(reason, *suites):
@@ -71,12 +69,12 @@ def _blind(reason, *suites):
 # today}, blind cells {suite: reason}); the cells of a row cover every suite
 ROWS = {
     "lambda_even_closed": (
-        special, _exact, {"thm1": 5, "remark1": 40, "collapse": 64},
-        {**_blind(UNREAD, "thm2", "thm4", "lemmas"), "fourier": FOURIER_TOL},
+        special, _exact, {"thm1": 5, "remark1": 40, "collapse": 64, "fourier": 39},
+        _blind(UNREAD, "thm2", "thm4", "lemmas"),
     ),
     "beta_odd_closed": (
-        special, _exact, {"thm1": 1, "thm2": 5, "remark1": 40, "collapse": 72},
-        {**_blind(UNREAD, "thm4", "lemmas"), "fourier": FOURIER_TOL},
+        special, _exact, {"thm1": 1, "thm2": 5, "remark1": 40, "collapse": 72, "fourier": 39},
+        _blind(UNREAD, "thm4", "lemmas"),
     ),
     "_half_pi_term": (
         exact, _positive_powers, {"thm4": 9, "remark1": 40, "collapse": 64},
@@ -111,13 +109,16 @@ ROWS = {
         {**_blind(UNREAD, "thm1", "thm2", "thm4", "lemmas", "fourier"), **_blind(EXACT, "remark1", "collapse")},
     ),
     "pi_fraction": (
-        exact, _exact, {"thm1": 5, "thm2": 5, "thm4": 6},
-        {**_blind(EXACT, "remark1", "collapse"), "lemmas": "the lemmas read math.pi", "fourier": FOURIER_TOL},
+        exact, _exact, {"thm1": 5, "thm2": 5, "thm4": 6, "fourier": 39},
+        {**_blind(EXACT, "remark1", "collapse"), "lemmas": "the lemmas read math.pi"},
     ),
-    "_odd_harmonic_sum": (
+    "_odd_harmonic_sum": (  # the --deep kernel
         identities, _float, {},
-        {**_blind(UNREAD, "thm1", "thm2", "thm4"), **_blind(EXACT, "remark1", "collapse"),
-         "lemmas": LEMMA7_TOL, "fourier": FOURIER_TOL},
+        {**_blind(UNREAD, "thm1", "thm2", "thm4", "lemmas", "fourier"), **_blind(EXACT, "remark1", "collapse")},
+    ),
+    "odd_harmonic_series": (
+        identities, _result, {"lemmas": 2, "fourier": 36},
+        {**_blind(UNREAD, "thm1", "thm2", "thm4"), **_blind(EXACT, "remark1", "collapse")},
     ),
     "euler_numbers": (
         exact, _last_plus_one, {"lemmas": 1},

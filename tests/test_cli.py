@@ -410,24 +410,39 @@ class TestVerify:
         assert all(line.endswith("true") for line in lines[1:])
 
 
+def _run_fresh(script):
+    src = os.path.dirname(os.path.dirname(dirichlet_j.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_routes_without_odd_harmonic_sums_run_without_numpy():
     # a fresh interpreter in which `import numpy` raises ImportError: only
-    # the odd-harmonic kernel (lemma7, fourier, --deep) needs numpy
-    script = """
+    # the partial-sum kernel of --deep, fourier_partial and log_tan_series
+    # needs numpy; every default suite sums the full series in plain Python
+    _run_fresh("""
 import sys
 sys.modules["numpy"] = None
 from dirichlet_j import cli
 from dirichlet_j.linalg import check_involution, trig_sum_check
 for argv in (["compute", "J", "2.5", "--method", "riemann"], ["table", "J", "--range", "1..40"],
-             *(["verify", suite] for suite in ("thm1", "thm2", "thm4", "remark1", "collapse"))):
+             *(["verify", suite] for suite in ("thm1", "thm2", "thm4", "remark1", "collapse")),
+             *(["verify", suite, "--format", fmt] for suite in ("lemmas", "fourier", "all")
+               for fmt in ("text", "json", "csv"))):
     assert cli.run(argv) == 0, argv
 assert check_involution(64, "cosine").passed
 assert trig_sum_check("2_altcos", 50, 0.3).passed
-"""
-    src = os.path.dirname(os.path.dirname(dirichlet_j.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+""")
+
+
+def test_default_verify_all_loads_no_numpy():
+    _run_fresh("""
+import sys
+from dirichlet_j import cli
+assert cli.run(["verify", "all"]) == 0
+assert "numpy" not in sys.modules
+""")
 
 
 class TestTable:

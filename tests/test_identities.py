@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from dirichlet_j.identities import (
     IdentityReport,
     fourier_closed,
     fourier_partial,
+    odd_harmonic_series,
 )
 from dirichlet_j.special import beta_odd_closed, lambda_even_closed
 
@@ -447,3 +449,96 @@ class TestFourierEquality:
             fine = abs(fourier_partial("sine", 3, x, 10**5) - closed)
             assert fine <= coarse + 1e-12
             assert fine <= 1e-7
+
+
+def _chi_reference(kind, order, x):
+    # Legendre's chi_order(e^{ix}) = (Li(e^{ix}) - Li(-e^{ix}))/2 at 40 digits:
+    # its imaginary part is the sine series, its real part the cosine series
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z = mpmath.expj(mpmath.mpf(x))
+        chi = (mpmath.polylog(order, z) - mpmath.polylog(order, -z)) / 2
+        return chi.imag if kind == "sine" else chi.real
+
+
+# the (kind, order, x) of the default eq_a2, eq_a3, eq_a4 and lemma7 rows
+DEFAULT_SERIES_POINTS = (
+    [("sine", 3, i * (math.pi / 2) / 15) for i in range(16)]
+    + [(kind, 2 * m + (kind == "sine"), idx * math.pi / 8) for m in (1, 2, 3) for idx in (1, 2, 3, 4)
+       for kind in ("sine", "cosine")]
+    + [("cosine", 1, 1.0), ("cosine", 1, math.pi / 3)]
+)
+
+
+class TestOddHarmonicSeries:
+    def test_within_estimate_at_the_default_points(self):
+        assert len(DEFAULT_SERIES_POINTS) == 42
+        for point in DEFAULT_SERIES_POINTS:
+            r = odd_harmonic_series(*point)
+            assert r.method == "euler_boole"
+            assert abs(r.value - _chi_reference(*point)) <= r.error_estimate <= 2e-14, point
+
+    def test_within_estimate_at_seeded_points(self):
+        rng = random.Random(20090101)
+        for _ in range(300):
+            point = (rng.choice(("sine", "cosine")), rng.randint(1, 7), rng.uniform(0.01, math.pi / 2))
+            r = odd_harmonic_series(*point)
+            assert abs(r.value - _chi_reference(*point)) <= r.error_estimate, point
+
+    def test_direct_terms(self):
+        # the smallest power of two >= 64 with 2N sin x >= 48
+        assert odd_harmonic_series("sine", 3, math.pi / 8).work == 64
+        assert odd_harmonic_series("sine", 3, math.pi / 30).work == 256
+        assert odd_harmonic_series("cosine", 2, 0.01).work == 4096
+
+    def test_sine_at_zero_is_exactly_zero(self):
+        r = odd_harmonic_series("sine", 3, 0.0)
+        assert (r.value, r.error_estimate) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("sine", 3, math.nan), r"x must lie in \[0, pi/2\]"),
+            (("sine", 3, math.inf), r"x must lie in \[0, pi/2\]"),
+            (("cosine", 2, -math.inf), r"x must lie in \[0, pi/2\]"),
+            (("sine", 3, -1e-300), r"x must lie in \[0, pi/2\]"),
+            (("cosine", 2, math.pi / 2 + 1e-9), r"x must lie in \[0, pi/2\]"),
+            (("cosine", 2, 0.0), r"x must be at least about 3.7e-4"),
+            (("sine", 3, 1e-4), r"x must be at least about 3.7e-4"),
+            (("sine", 0, 0.5), r"order must be an integer >= 1, not 0"),
+            (("cosine", -1, 0.5), r"order must be an integer >= 1, not -1"),
+            (("cosine", 1075, 0.5), r"order must be at most 1074, not 1075"),
+            (("tangent", 3, 0.5), r"kind must be 'sine' or 'cosine'"),
+        ],
+    )
+    def test_rejections(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            odd_harmonic_series(*args)
+
+    def test_check_fourier_default_is_the_full_series(self):
+        x = 3 * math.pi / 8
+        r = check_fourier("cosine", 2, x)
+        series = odd_harmonic_series("cosine", 4, x)
+        assert (r.identity_id, r.params, r.lhs, r.rhs) == ("eq_a4", (2,), series.value, fourier_closed("cosine", 2, x))
+        assert series.error_estimate < r.tol < 2e-14 and r.passed
+
+    @pytest.mark.parametrize(
+        "args,lhs,rhs",
+        [
+            (("sine", 2, 3 * math.pi / 8, 1000), "0x1.d82dc686865c0p-1", "0x1.d82dc686865c1p-1"),
+            (("cosine", 3, math.pi / 8, 10**5), "0x1.d94712b803885p-1", "0x1.d94712b803885p-1"),
+            (("sine", 1, 0.0, 7), "0x0.0p+0", "0x0.0p+0"),
+        ],
+    )
+    def test_check_fourier_with_terms_is_unchanged(self, args, lhs, rhs):
+        # an int terms keeps the partial sum at the fixed tol 1e-5, field for
+        # field; the hex values are those of the partial-sum checks before
+        # the full series existed (the BLAS sum may differ in its last bit
+        # on another machine, so lhs is pinned by its definition as well)
+        kind, m, x, terms = args
+        r = check_fourier(*args)
+        order = 2 * m + 1 if kind == "sine" else 2 * m
+        assert r == IdentityReport("eq_a3" if kind == "sine" else "eq_a4", (m,), fourier_partial(kind, order, x, terms),
+                                   fourier_closed(kind, m, x), 1e-5)
+        assert r.rhs.hex() == rhs and r.tol == 1e-5 and r.passed
+        assert abs(r.lhs - float.fromhex(lhs)) <= 4 * EPS

@@ -272,6 +272,7 @@ ORDER_CHECKS = {
     "trig_sum_check": ("n", lambda n: linalg.trig_sum_check("1_cos", n, 0.3), 1),
     "csc_taylor_check": ("k_max", linalg.csc_taylor_check, 1),
     "fourier_partial": ("terms", lambda terms: identities.fourier_partial("sine", 3, 0.5, terms), 1),
+    "odd_harmonic_series": ("order", lambda order: identities.odd_harmonic_series("sine", order, 0.5), 1),
     "log_tan_series": ("terms", lambda terms: linalg.log_tan_series(0.5, terms), 1),
     "pi_fraction": ("digits", exact.pi_fraction, 1),
     "euler_numbers": ("count", exact.euler_numbers, 1),
