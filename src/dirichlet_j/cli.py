@@ -1,7 +1,7 @@
 """Command-line front end: compute values, run verification suites, emit tables.
 
 Grammar:
-  dirichlet-j compute <lambda|beta|J> <arg> [--method M] [--digits D]
+  dirichlet-j compute <lambda|beta|J> <arg> [--method M]
   dirichlet-j verify <thm1|thm2|thm4|remark1|collapse|lemmas|fourier|all>
               [--range a..b] [--tol T] [--seed S] [--deep] [--format F] [-o PATH]
   dirichlet-j table <lambda|beta|J> --range a..b [--format F] [-o PATH]
@@ -11,9 +11,9 @@ error or an unwritable -o path or stdout, 3 evaluator convergence failure.
 --tol (thm1/thm2/thm4 only) defaults to max(1e-10, 100 x error budget).
 `compute lambda|beta --method closed` takes arguments up to CLOSED_MAX = 1000
 (the exact forms cost about s^3: 0.3 s at 1000); a larger one is a usage error.
---digits (15, 16 or 17, default 15) is the only precision setting: it sets the
-target of `compute|table J` by quadrature and by the Euler series.  Every
-other route sums a fixed 24-term series or rounds an exact form once.
+No command takes a precision setting: J by quadrature and by the Euler series
+stops on one fixed target, and every other route sums a fixed 24-term series
+or rounds an exact form once.
 json and csv output go through the stdlib `json` and `csv` modules; json
 writes non-finite floats as the strings "inf", "-inf" and "nan".
 """
@@ -35,7 +35,6 @@ from .special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_n
 __all__ = ["SUITES", "run", "main", "emit_report", "suite_reports", "THM1_NOTE"]
 
 DEFAULT_SEED = 0x5EED
-DEFAULT_DIGITS = 15
 CLOSED_MAX = 1000
 _INVOLUTION_SIZES = (1, 2, 4, 8, 16, 32, 64)
 _RANDOM_TRIG_CASES = 100
@@ -217,7 +216,7 @@ def _parse_arg(text: str) -> float | int:
     return int(value) if value.is_integer() else value
 
 
-def _compute(fn: str, s: float | int, method: str, digits: int) -> tuple[float, str, float | None, int]:
+def _compute(fn: str, s: float | int, method: str) -> tuple[float, str, float | None, int]:
     """Returns (value, method, error_estimate, work)."""
     if fn != "J":
         odd = fn == "beta"  # the closed forms give lambda(2m) and beta(2m - 1): s = 2m - odd
@@ -240,9 +239,9 @@ def _compute(fn: str, s: float | int, method: str, digits: int) -> tuple[float, 
     if method in ("euler_series", "closed") and (not isinstance(s, int) or s < 1):
         raise ValueError(f"{method} method needs an integer argument >= 1")
     if method in ("auto", "quadrature"):
-        r = j_quadrature(s, digits)
+        r = j_quadrature(s)
     elif method == "euler_series":
-        r = j_euler_series(s, digits)
+        r = j_euler_series(s)
     elif method == "closed":
         r = j_closed_odd((s + 1) // 2) if s % 2 else j_closed_even(s // 2)
     else:
@@ -253,10 +252,10 @@ def _compute(fn: str, s: float | int, method: str, digits: int) -> tuple[float, 
 _TABLE_FIELDS = ("s", "value", "error_estimate", "method")
 
 
-def _table(fn: str, span: tuple[int, int], digits: int, format: str) -> str:
+def _table(fn: str, span: tuple[int, int], format: str) -> str:
     rows = []
     for s in range(span[0], span[1] + 1):
-        value, method, err, _ = _compute(fn, s, "auto", digits)
+        value, method, err, _ = _compute(fn, s, "auto")
         rows.append((s, value, err, method))
     if format in ("json", "csv"):
         return _serialize(_TABLE_FIELDS, rows, format)
@@ -280,10 +279,6 @@ def _checked(text: str, convert: Callable, ok: Callable, message: str):
     if not ok(value):
         raise argparse.ArgumentTypeError(message)
     return value
-
-
-def digits_type(text: str) -> int:
-    return _checked(text, int, lambda v: 15 <= v <= 17, "digits must be an integer from 15 to 17")
 
 
 def positive_float(text: str) -> float:
@@ -311,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", "closed", "series", "quadrature", "euler_series", "riemann"],
     )
-    p_compute.add_argument("--digits", type=digits_type, default=DEFAULT_DIGITS)
 
     p_verify = sub.add_parser("verify", help="run identity verification suites")
     p_verify.add_argument("suite", choices=[*SUITES, "all"])
@@ -326,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("function", choices=["lambda", "beta", "J"])
     p_table.add_argument("--range", type=_parse_range, required=True, metavar="a..b")
     p_table.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    p_table.add_argument("--digits", type=digits_type, default=DEFAULT_DIGITS)
     p_table.add_argument("-o", "--output", default=None)
 
     return parser
@@ -359,7 +352,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     try:
         if args.command == "compute":
-            value, method, err, work = _compute(args.function, args.arg, args.method, args.digits)
+            value, method, err, work = _compute(args.function, args.arg, args.method)
             arg = float(args.arg) if abs(args.arg) >= 1e16 else args.arg  # 1e+308, not 309 digits
             line = f"{args.function}({arg}) = {_fmt_float(value)}\n"
             line += f"method: {method}"
@@ -382,7 +375,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             _write_out(text, args.output)
             return 0 if all(r.passed for r in reports) else 1
 
-        _write_out(_table(args.function, args.range, args.digits, args.format), args.output)
+        _write_out(_table(args.function, args.range, args.format), args.output)
         return 0
 
     except ConvergenceError as exc:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,7 +9,9 @@ import subprocess
 import sys
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import dirichlet_j
 from dirichlet_j.cli import CLOSED_MAX, SUITES, emit_report, run, suite_reports
@@ -17,12 +20,7 @@ from dirichlet_j.identities import IdentityReport
 
 
 class TestDefaults:
-    def test_defaults(self, capsys):
-        # digits 15
-        assert run(["compute", "beta", "2"]) == 0
-        implicit = capsys.readouterr().out
-        assert run(["compute", "beta", "2", "--digits", "15"]) == 0
-        assert capsys.readouterr().out == implicit
+    def test_defaults(self):
         # tol 1e-10 and seed 0x5EED
         assert {r.tol for r in suite_reports("thm2", range=(1, 2))} == {1e-10}
         assert suite_reports("lemmas") == suite_reports("lemmas", seed=0x5EED)
@@ -62,9 +60,34 @@ def capout(capsys):
     return read
 
 
+# sha256 of the stdout of these commands (each exits 0), taken while --digits
+# set the target of the J routes at its default 15: the one fixed target must
+# not change a byte
+J_PINNED_SHA256 = {
+    ("compute", "J", "1"): "81f45a6699e6f89900afa85de543fde5b10d7fbe18e3f1c1e1a2c124464a6baa",
+    ("compute", "J", "3.5"): "4d2b685f359086d28aa7a274f178b29a1ce0c765e37cc1776ea96df3d51194e1",
+    ("compute", "J", "0.3"): "cb8ebb8f0efe6d5eae9485a55888d1d8196795b427c30994ce4814493244b630",
+    ("compute", "J", "17.25"): "01aa0b13006a29f9afff4b3f17fb46fb719dc051480c7d35dfeab1f2fe22f2f1",
+    ("compute", "J", "150"): "9e1f50734e1d2a2e51a5527709310995948d6e28f5556ad389222fe9ced0cc04",
+    ("compute", "J", "6", "--method", "euler_series"): (
+        "3cf8b4b4653896ebd5b51b2cf2ed3d230239eba5058dea4b3b679a81be96089e"
+    ),
+    ("compute", "J", "170", "--method", "euler_series"): (
+        "f352360fb57c28df4031716a009630cef81d93ff89f6d97e7ec0649c5a8bbe8c"
+    ),
+    ("compute", "J", "12", "--method", "quadrature"): (
+        "8a44f609c4e5dbe187dd1a3ff6d6527dfe408217f2478081b32b2fe657af098f"
+    ),
+    ("table", "J", "--range", "1..40"): "5f6aedd823c4ca907410345d408728b015c82322865435833c58491275f7930c",
+    ("table", "J", "--range", "1..170", "--format", "json"): (
+        "05842868abd619f3ea2837b0dd3b0ea82d6df104b87cf7e7c0420db32f046435"
+    ),
+}
+
+
 class TestCompute:
     def test_j_quadrature(self, capout):
-        assert run(["compute", "J", "1", "--digits", "15"]) == 0
+        assert run(["compute", "J", "1"]) == 0
         out = capout()
         assert "1.166243616123275" in out
         assert "quadrature" in out
@@ -204,17 +227,22 @@ class TestCompute:
             ["compute", "lambda", "3", "--digits", "300"],
             ["compute", "J", "170", "--method", "closed", "--digits", "2000"],
             ["table", "beta", "--range", "1..2", "--digits", "200000"],
+            ["compute", "J", "1", "--digits", "15"],
+            ["table", "J", "--range", "1..3", "--digits", "17"],
         ],
-        ids=["quadrature", "euler_series", "table", "quadrature-18", "lambda-300", "closed-2000", "table-beta-200000"],
+        ids=[
+            "quadrature", "euler_series", "table", "quadrature-18", "lambda-300", "closed-2000", "table-beta-200000",
+            "quadrature-15", "table-17",
+        ],
     )
     def test_target_underflow_is_usage_error(self, argv, capsys):
-        # a double holds at most 17 significant digits, so the parser rejects
-        # any larger count before evaluation, among them those from 325 on,
-        # whose target 10^(1 - digits) underflows to 0
+        # no command takes a digit count, so every --digits, among them those
+        # whose target 10^(1 - digits) would underflow to 0, is a usage error
+        # before evaluation
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(": error: argument --digits: digits must be an integer from 15 to 17\n")
+        assert captured.err.endswith(f": error: unrecognized arguments: --digits {argv[-1]}\n")
 
     def test_convergence_failure_exit_code(self):
         # s this close to 0 makes the value huge and the absolute target
@@ -225,8 +253,8 @@ class TestCompute:
         assert run(["compute", "J", "1", "--digits", "10"]) == 2
 
     def test_environment_sets_no_digits(self, capout, monkeypatch):
-        # --digits is the only precision setting: no variable of the
-        # environment changes a value or fails a command that takes no digits
+        # no command takes a precision setting, and no variable of the
+        # environment changes a value or fails a command
         assert run(["compute", "beta", "2"]) == 0
         expected = capout()
         monkeypatch.setenv("DIRICHLET_J_DIGITS", "many")
@@ -234,23 +262,10 @@ class TestCompute:
         assert capout() == expected
         assert run(["verify", "thm2"]) == 0
 
-    def test_closed_work_does_not_grow_with_digits(self, capout):
-        # the lambda/beta closed forms round once against a fixed pi, and the
-        # lambda/beta series, alone or inside the J closed forms, sum a fixed
-        # 24 terms: --digits changes neither a byte nor the work
-        for argv in (
-            ["compute", "lambda", "2", "--method", "closed"],
-            ["compute", "beta", "999", "--method", "closed"],
-            ["compute", "lambda", "3"],
-            ["compute", "beta", "2.5"],
-            ["compute", "J", "7", "--method", "closed"],
-            ["compute", "J", "170", "--method", "closed"],
-            ["table", "beta", "--range", "1..5"],
-        ):
-            assert run([*argv, "--digits", "15"]) == 0
-            expected = capout()
-            assert run([*argv, "--digits", "17"]) == 0
-            assert capout() == expected, argv
+    @pytest.mark.parametrize("argv", J_PINNED_SHA256)
+    def test_j_outputs_pinned(self, argv, capout):
+        assert run(list(argv)) == 0
+        assert hashlib.sha256(capout().encode()).hexdigest() == J_PINNED_SHA256[argv]
 
 
 # sha256 of the stdout of these commands before the exact constants were
@@ -582,13 +597,11 @@ def test_run_verification_script(tmp_path, extra):
     "argv,message",
     [
         (["verify", "thm1", "--tol", "abc"], "argument --tol: tol must be a finite number > 0"),
-        (["compute", "J", "1", "--digits", "abc"], "argument --digits: digits must be an integer from 15 to 17"),
-        (["table", "J", "--range", "1..2", "--digits", "abc"], "argument --digits: digits must be an integer from 15 to 17"),
         (["compute", "J", "abc"], "argument arg: argument must be a finite number"),
         (["verify", "thm1", "--seed", "zz"], "argument --seed: seed must be an integer"),
         (["run_verification.py", "--seed", "zz"], "argument --seed: seed must be an integer"),
     ],
-    ids=["tol", "compute-digits", "table-digits", "arg", "seed", "script-seed"],
+    ids=["tol", "arg", "seed", "script-seed"],
 )
 def test_unparsable_value_message_names_the_option(argv, message, tmp_path, capsys):
     # argparse names the type function ("invalid positive_float value") when
@@ -601,3 +614,59 @@ def test_unparsable_value_message_names_the_option(argv, message, tmp_path, caps
     assert code == 2
     assert err.endswith(f": error: {message}\n")
     assert "invalid" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz of run(): every argument list ends in an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "1e-320", "5e-324", "0", "-0.0", "-1", "-2.5", "0.01", "1e16", "abc", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats(0.01, 200.0).map(repr),
+    st.integers(1, 12).map(str),
+)
+_RANGES = st.one_of(
+    st.builds("{}..{}".format, st.integers(1, 12), st.integers(1, 12)),
+    st.sampled_from(["0..3", "-2..2", "1..", "a..b", "1.5..3", "7"]),
+)
+
+
+def _option(name, values, rarity):
+    """[--name, value] in about one list of `rarity`, else []."""
+    return st.integers(1, rarity).flatmap(lambda k: values.map(lambda v: [f"--{name}", v]) if k == rarity else st.just([]))
+
+
+_DIGITS = _option("digits", st.one_of(st.integers(-3, 400).map(str), _NUMBERS), 3)
+_FORMAT = _option("format", st.sampled_from(["text", "json", "csv", "xml"]), 2)
+_FUNCTION = st.sampled_from(["lambda", "beta", "J", "J", "zeta"]).map(lambda f: [f])
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(["compute"]), _FUNCTION, _NUMBERS.map(lambda a: [a]),
+        _option("method", st.sampled_from(["auto", "closed", "series", "quadrature", "euler_series", "riemann", "exact"]), 2),
+        _DIGITS,
+    ),
+    st.tuples(st.just(["table"]), _FUNCTION, _option("range", _RANGES, 1), _FORMAT, _DIGITS),
+    st.tuples(
+        st.just(["verify"]), st.sampled_from([*SUITES, "all", "thm3"]).map(lambda s: [s]),
+        _option("range", _RANGES, 3), _option("tol", _NUMBERS, 3),
+        _option("seed", st.one_of(st.integers(-(2**70), 2**70).map(str), st.just("zz")), 3), _FORMAT, _DIGITS,
+    ),
+).map(lambda parts: [word for part in parts for word in part])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ARGV)
+def test_run_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert type(code) is int and 0 <= code <= 3, (argv, code, err.getvalue())
+    if "--digits" in argv:
+        assert code == 2 and out.getvalue() == "", argv
+    if code in (0, 1) and "json" in argv:
+        _strict_json(out.getvalue())
+    if argv[0] == "compute" and code == 0:
+        value = float(out.getvalue().split(" = ", 1)[1].split("\n", 1)[0])
+        assert math.isfinite(value), (argv, out.getvalue())

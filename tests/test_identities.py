@@ -86,10 +86,11 @@ def test_theorem_tol_must_be_a_finite_number_above_zero(check, tol):
         check(2, tol=tol)
 
 
-# sha256 of (lhs, rhs, abs_diff, tol) in hex over these reports, taken while
-# thm1 and thm2 each summed their own J-weighted terms: sharing one sum must
-# not move a bit
-THEOREM_PIN_SHA256 = "60e19451bd7060bb375dc00e5f701814f97118526ef8e5362a5908052ae1a865"
+# sha256 of (lhs, rhs, abs_diff, tol) in hex over these reports, taken when
+# the J routes lost their digit count and quadrature stopped on the one
+# absolute target 1e-14: J(12), J(17) and J(18) moved, and with them five rows
+# (thm1 at m = 9 in both forms, thm4_even at n = 6 and 9, thm4_odd at n = 9)
+THEOREM_PIN_SHA256 = "4b8ae05f24f57ddf672d0552a1a7c49c903d3322a8c001e7c2c9b5472cb76dcc"
 
 
 class TestTheoremReportsPinned:

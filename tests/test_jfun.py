@@ -39,7 +39,7 @@ J_REF = {
 class TestQuadrature:
     @pytest.mark.parametrize("s,ref", sorted(J_REF.items()))
     def test_reference_values(self, s, ref):
-        r = j_quadrature(s, 14)
+        r = j_quadrature(s)
         assert abs(r.value - ref) <= 1e-13
         assert r.error_estimate <= 1e-13 / 2 + 4 * math.ulp(abs(r.value))
         assert r.work > 0 and r.method == "quadrature"
@@ -87,7 +87,7 @@ class TestQuadrature:
     def test_convergence_failure_reported(self, monkeypatch):
         monkeypatch.setattr(jfun, "_MAX_LEVEL", 2)
         with pytest.raises(ConvergenceError):
-            j_quadrature(1.0, 19)
+            j_quadrature(1.0)
 
     @pytest.mark.parametrize("s", [0.05, 1, 5, 18, 40])
     def test_level_sums_match_numpy_reference(self, s):
@@ -149,14 +149,14 @@ class TestEulerSeries:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_quadrature_tightly(self, n):
-        series = j_euler_series(n, 13)
-        quad = j_quadrature(n, 14)
+        series = j_euler_series(n)
+        quad = j_quadrature(n)
         assert abs(series.value - quad.value) <= 2e-12
         assert abs(series.value - quad.value) <= series.error_estimate + quad.error_estimate
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_reference_values(self, n):
-        r = j_euler_series(n, 13)
+        r = j_euler_series(n)
         assert abs(r.value - J_REF[n]) <= r.error_estimate
 
     def test_terms_all_positive(self):
@@ -183,17 +183,18 @@ class TestEulerSeries:
                 assert t <= bound * (1 + 1e-12)
 
     def test_terminates_at_smallest_target(self):
-        # the residual bound 3^-(2k+3) is 0.0 from 2k+3 = 679, so the loop
-        # stops within 339 terms at any target
-        assert max(j_euler_series(n, 324).work for n in range(1, 171)) <= 339
+        # the residual bound (9/8) b_{K+1} 3^-(2K+3) meets the one target
+        # within 12 terms at every n
+        assert max(j_euler_series(n).work for n in range(1, 171)) <= 12
 
     def test_thread_safety_of_euler_table(self):
         import dirichlet_j.exact as ex
 
         def work(start):
-            # j_euler_series(1, 301) grows the table to A_616 while others read it
+            # euler_numbers(309) grows the table to A_616 while others read it
+            # in place through j_euler_series
             start.wait(timeout=60)
-            return j_euler_series(2, 14), j_euler_series(1, 301), tuple(bernoulli_numbers(40))
+            return j_euler_series(2), tuple(euler_numbers(309)), j_euler_series(1), tuple(bernoulli_numbers(40))
 
         expected = work(threading.Barrier(1))
         interval = sys.getswitchinterval()
@@ -215,8 +216,6 @@ class TestEulerSeries:
         for n in (0, 2.5, 3.0, True):
             with pytest.raises(ValueError, match="n must be an integer >= 1"):
                 j_euler_series(n)
-        with pytest.raises(ValueError):
-            j_euler_series(1, 0)
         with pytest.raises(ValueError, match="overflows a double"):
             j_euler_series(171)
         # (pi/2)^n overflows from n = 1572; the domain check comes first
@@ -225,14 +224,11 @@ class TestEulerSeries:
 
     @pytest.mark.parametrize("n", range(1, 171))
     def test_within_estimate_against_mpmath(self, n):
-        # digits=301 and 324 leave only rounding in the estimate; the target
-        # is relative to J, so at digits 12-15 the relative error meets it
+        # the target is relative to J, so the relative error meets it
         ref = _mpmath_j(n)
-        for digits in (12, 13, 14, 15, 17, 20, 100, 301, 324):
-            r = j_euler_series(n, digits)
-            assert abs(r.value - ref) <= r.error_estimate, (digits, r, ref)
-            if digits <= 15:
-                assert abs(r.value - ref) <= 10.0 ** (1 - digits) * ref, (digits, r, ref)
+        r = j_euler_series(n)
+        assert abs(r.value - ref) <= r.error_estimate, (r, ref)
+        assert abs(r.value - ref) <= 1e-14 * ref, (r, ref)
 
 
 def _mpmath_j(s):
@@ -269,7 +265,7 @@ class TestRiemannSum:
 
     @pytest.mark.parametrize("s", [1, 2, 3.5])
     def test_monotone_convergence(self, s):
-        ref = j_quadrature(s, 14).value
+        ref = j_quadrature(s).value
         errs = [abs(j_riemann_sum(s, n) - ref) for n in (100, 200, 400, 800)]
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-5
@@ -310,7 +306,7 @@ class TestClosedForms:
 
     def test_even_matches_euler_series(self):
         closed = j_closed_even(3)
-        series = j_euler_series(6, 12)
+        series = j_euler_series(6)
         assert abs(closed.value - series.value) <= 1e-9
 
     def test_validation(self):
@@ -412,59 +408,48 @@ def _closed_pin_lines():
     return lines
 
 
-# sha256 of (value, error_estimate, work) in hex over these grids.  The
-# quadrature pin was taken when its rounding floor became 2 (s+4) eps |J|;
-# values and work are those from before `digits` replaced the absolute
-# tolerance arguments.  The series pin was taken when its target became
-# relative to J and it began to read the exact (pi/2)^n / n! and the shared
-# up/down table.
+# sha256 of (value, error_estimate, work) in hex over these grids, taken
+# while the routes took a digit count, with digits=15: the one fixed target
+# must not move a bit
 PIN_S = (0.05, 0.5, 1, 2, 3.7, 8, 18, 40, 150)
-QUADRATURE_PIN_SHA256 = "81540060e09765fd0fe64fd3953cc15ca8ab6a1879b6c986a47b1aa3fb0e33d2"
-SERIES_PIN_SHA256 = "57c19f919fc5fffce87a5ecffbb27f7639df3ff96d44bcaded3f029ff03642c9"
+QUADRATURE_PIN_SHA256 = "031896ad516515c9680817439a4a10a9b8c8e088c01b1fa8575b902b8cc9e5b3"
+SERIES_PIN_SHA256 = "19e3cdf95f924c0e120b4d464fc0cf62d7207ab0fbdfee8c8935fe7aab27c029"
 
 
 class TestDigits:
     def test_values_pinned(self):
         lines = []
         for s in PIN_S:
-            for digits in (12, 14, 15, 16):
-                r = j_quadrature(s, digits)
-                lines.append(f"q {s!r} {digits} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
+            r = j_quadrature(s)
+            lines.append(f"q {s!r} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == QUADRATURE_PIN_SHA256
 
     def test_series_values_pinned(self):
         lines = []
         for n in range(1, 171):
-            for digits in (12, 13, 14, 15, 17):
-                r = j_euler_series(n, digits)
-                lines.append(f"e {n} {digits} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
+            r = j_euler_series(n)
+            lines.append(f"e {n} {r.value.hex()} {r.error_estimate.hex()} {r.work}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SERIES_PIN_SHA256
 
     def test_defaults(self):
-        # 10^(1 - digits) at the defaults is the target the routes had
-        # before: 1e-13 for quadrature and 1e-12 for the series
-        assert jfun._target(14) == 1e-13 and jfun._target(13) == 1e-12
-        assert j_quadrature(2.5) == j_quadrature(2.5, 14)
-        assert j_euler_series(7) == j_euler_series(7, 13)
+        # the one target is the one that --digits 15 set, the same double
+        assert jfun._TARGET == 10.0 ** -(15 - 1) == 1e-14
 
     @pytest.mark.parametrize("route", [j_quadrature, j_euler_series])
     @pytest.mark.parametrize("digits", [0, -3, 325, 10**6])
     def test_digits_out_of_range(self, route, digits):
-        with pytest.raises(ValueError, match="digits"):
+        # no digit count is accepted, in range or out
+        with pytest.raises(TypeError, match="digits"):
+            route(3, digits=digits)
+        with pytest.raises(TypeError):
             route(3, digits)
-
-    def test_smallest_target_is_accepted(self):
-        # 10^-323 is a denormal and still a target
-        assert jfun._target(324) == 1e-323
-        assert j_euler_series(3, 324).work > 1
-        assert j_quadrature(3, 324).work > 0
 
 
 class TestCrossMethodAgreement:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pairwise_within_error_estimates(self, n):
-        quad = j_quadrature(n, 14)
-        series = j_euler_series(n, 14)
+        quad = j_quadrature(n)
+        series = j_euler_series(n)
         closed = j_closed_odd((n + 1) // 2) if n % 2 else j_closed_even(n // 2)
         for a, b in ((quad, series), (quad, closed), (series, closed)):
             allowed = 10 * max(a.error_estimate, b.error_estimate)

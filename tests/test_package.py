@@ -279,8 +279,7 @@ ORDER_CHECKS = {
     "bernoulli_numbers": ("count", exact.bernoulli_numbers, 1),
     "lambda_even_closed": ("m", special.lambda_even_closed, 1),
     "beta_odd_closed": ("m", special.beta_odd_closed, 1),
-    "j_quadrature": ("digits", lambda digits: jfun.j_quadrature(1, digits), 1),
-    "j_euler_series": ("digits", lambda digits: jfun.j_euler_series(1, digits), 1),
+    "j_euler_series": ("n", jfun.j_euler_series, 1),
     "j_closed_odd": ("n", jfun.j_closed_odd, 1),
     "j_closed_even": ("n", jfun.j_closed_even, 1),
     "up_down_number": ("n", exact.up_down_number, 0),
