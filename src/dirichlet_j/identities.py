@@ -92,38 +92,32 @@ def _check_tol(tol: float | None) -> None:
         raise ValueError(f"tol must be a finite number > 0, not {tol!r}")
 
 
-def _numeric_report(
-    identity_id: str, params: tuple[int, ...], lhs: float, rhs: float, err_budget: float, tol: float | None
+def _pair(
+    identity_id: str, params: tuple[int, ...], lhs: EvalResult, rhs: EvalResult, tol: float | None
 ) -> IdentityReport:
-    """A numeric check whose tol defaults to 100 err_budget, floored at TOL_FLOOR."""
+    """A numeric check of two evaluated sides; tol defaults to 100 times the
+    sum of their error estimates, floored at TOL_FLOOR."""
     if tol is None:
-        tol = max(TOL_FLOOR, 100.0 * err_budget)
-    return IdentityReport(identity_id, params, lhs, rhs, tol)
+        tol = max(TOL_FLOOR, 100.0 * (lhs.error_estimate + rhs.error_estimate))
+    return IdentityReport(identity_id, params, lhs.value, rhs.value, tol)
 
 
-def _j_sum_report(
-    identity_id: str,
-    m: int,
-    lhs: EvalResult,
-    terms: list[tuple[int, PiPoly, int]],
-    tol: float | None,
-    j_from: int = 1,
-) -> IdentityReport:
-    """lhs vs sum sign * coeff * J(e) over (sign, coeff, e) triples, J by
-    quadrature; terms with e < j_from drop their J factor. The error budget
-    adds each J's estimate and a 4-ulp rounding per product to lhs's."""
-    rhs = 0.0
-    err = lhs.error_estimate
+_UNIT = EvalResult(1.0, 0.0, "closed_form", 0)  # a dropped J factor: times 1.0 and plus 0.0 are exact
+
+
+def _j_sum(terms: list[tuple[int, PiPoly, int]], j_from: int = 1) -> EvalResult:
+    """sum sign * coeff * J(e) over (sign, coeff, e) triples, J by quadrature;
+    terms with e < j_from drop their J factor.  The estimate adds each J's
+    estimate and a 4-ulp rounding per product; work counts the nodes."""
+    value = err = 0.0
+    work = 0
     for sign, coeff, e in terms:
-        value = coeff.evalf()
-        if e >= j_from:
-            j = j_quadrature(e)
-            rhs += sign * value * j.value
-            err += value * j.error_estimate + 4.0 * _EPS * value * abs(j.value)
-        else:
-            rhs += sign * value
-            err += 4.0 * _EPS * value
-    return _numeric_report(identity_id, (m,), lhs.value, rhs, err, tol)
+        c = coeff.evalf()
+        j = j_quadrature(e) if e >= j_from else _UNIT
+        value += sign * c * j.value
+        err += c * j.error_estimate + 4.0 * _EPS * c * abs(j.value)
+        work += j.work
+    return EvalResult(value, err, "quadrature", work)
 
 
 def check_theorem1(m: int, tol: float | None = None, use_proof_form: bool = True) -> IdentityReport:
@@ -132,12 +126,12 @@ def check_theorem1(m: int, tol: float | None = None, use_proof_form: bool = True
     The verifier of record keeps the J(2k-1) factor inside the sum
     (`use_proof_form=True`); the variant without it, which keeps J only on
     the beta(1) term, is provided because it is numerically wrong already at
-    m=2, and documenting that is part of the check suite.
+    m=1, and documenting that is part of the check suite.
     """
     _check_order(m, "m")
     _check_tol(tol)
-    lam = lambda_numeric(2 * m + 1)
-    return _j_sum_report("thm1", m, lam, _closed_form_terms("sine", m), tol, 1 if use_proof_form else 2 * m)
+    rhs = _j_sum(_closed_form_terms("sine", m), 1 if use_proof_form else 2 * m)
+    return _pair("thm1", (m,), lambda_numeric(2 * m + 1), rhs, tol)
 
 
 def check_theorem2(m: int, tol: float | None = None) -> IdentityReport:
@@ -145,22 +139,17 @@ def check_theorem2(m: int, tol: float | None = None) -> IdentityReport:
     _check_order(m, "m")
     _check_tol(tol)
     terms = [((-1) ** (k - 1), beta_odd_closed(m - k + 1), 2 * k - 1) for k in range(1, m + 1)]
-    return _j_sum_report("thm2", m, beta_numeric(2 * m), terms, tol)
+    return _pair("thm2", (m,), beta_numeric(2 * m), _j_sum(terms), tol)
 
 
 def check_theorem4(n: int, tol: float | None = None) -> tuple[IdentityReport, IdentityReport]:
     """Closed forms for J(2n-1) and J(2n) vs quadrature."""
     _check_order(n)
     _check_tol(tol)
-    reports = []
-    for identity_id, q, closed in (
-        ("thm4_odd", 2 * n - 1, j_closed_odd(n)),
-        ("thm4_even", 2 * n, j_closed_even(n)),
-    ):
-        quad = j_quadrature(q)
-        err = quad.error_estimate + closed.error_estimate
-        reports.append(_numeric_report(identity_id, (n,), quad.value, closed.value, err, tol))
-    return tuple(reports)
+    return (
+        _pair("thm4_odd", (n,), j_quadrature(2 * n - 1), j_closed_odd(n), tol),
+        _pair("thm4_even", (n,), j_quadrature(2 * n), j_closed_even(n), tol),
+    )
 
 
 def _closed_form_terms(kind: Kind, m: int) -> list[tuple[int, PiPoly, int]]:

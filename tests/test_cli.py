@@ -357,8 +357,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["thm1", "thm2", "thm4"])
     def test_default_tol_is_the_floor_over_the_whole_range(self, suite):
-        # without --tol each check takes max(1e-10, 100 err_budget), and that
-        # is 1e-10 for every m (n) of 1..85: reports, tol included, are equal
+        # without --tol each check takes max(1e-10, 100 x the sum of its two
+        # sides' error estimates), and that is 1e-10 for every m (n) of 1..85:
+        # reports, tol included, are equal
         assert suite_reports(suite, range=(1, 85)) == suite_reports(suite, range=(1, 85), tol=1e-10)
 
     def test_nonpositive_tol_usage_error(self):

@@ -24,7 +24,8 @@ from dirichlet_j.identities import (
     fourier_partial,
     odd_harmonic_series,
 )
-from dirichlet_j.special import beta_odd_closed, lambda_even_closed
+from dirichlet_j.jfun import j_closed_even, j_closed_odd, j_quadrature
+from dirichlet_j.special import beta_numeric, beta_odd_closed, lambda_even_closed, lambda_numeric
 
 PI_CUBED_OVER_32 = 0.96894614625936938  # beta(3); mpmath mp.dps=30
 LAMBDA_2 = 1.2337005501361698
@@ -77,6 +78,48 @@ class TestTheorem4:
         odd, even = check_theorem4(n, tol=1e-10)
         assert odd.identity_id == "thm4_odd" and odd.passed
         assert even.identity_id == "thm4_even" and even.passed
+
+
+def _theorem_sides(theorem, m):
+    """(lhs, the J-weighted sum) of thm1 or thm2 at m, as EvalResults."""
+    if theorem == "thm1":
+        return lambda_numeric(2 * m + 1), identities._j_sum(identities._closed_form_terms("sine", m))
+    terms = [((-1) ** (k - 1), beta_odd_closed(m - k + 1), 2 * k - 1) for k in range(1, m + 1)]
+    return beta_numeric(2 * m), identities._j_sum(terms)
+
+
+class TestEstimatesHold:
+    """Every m (n) of J's domain, 1..85: each J-weighted sum lies within its
+    error estimate of the 40-digit value, and the two sides of each thm1,
+    thm2 and thm4 check within the sum of their estimates of each other."""
+
+    @pytest.mark.parametrize("theorem", ["thm1", "thm2"])
+    def test_j_sum_within_its_estimate(self, theorem):
+        mpmath = pytest.importorskip("mpmath")
+        ratios = []
+        with mpmath.workdps(40):
+            for m in range(1, 86):
+                if theorem == "thm1":
+                    exact = (1 - mpmath.mpf(2) ** -(2 * m + 1)) * mpmath.zeta(2 * m + 1)
+                else:
+                    exact = mpmath.dirichlet(2 * m, [0, 1, 0, -1])
+                s = _theorem_sides(theorem, m)[1]
+                assert s.method == "quadrature" and s.work > 0
+                ratios.append(float(abs(s.value - exact)) / s.error_estimate)
+        assert max(ratios) <= 1.0
+
+    @pytest.mark.parametrize("theorem", ["thm1", "thm2", "thm4"])
+    def test_sides_within_both_estimates(self, theorem):
+        for m in range(1, 86):
+            if theorem == "thm4":
+                pairs = [(j_quadrature(2 * m - 1), j_closed_odd(m)), (j_quadrature(2 * m), j_closed_even(m))]
+                reports = check_theorem4(m)
+            else:
+                pairs = [_theorem_sides(theorem, m)]
+                reports = [(check_theorem1 if theorem == "thm1" else check_theorem2)(m)]
+            for (lhs, rhs), r in zip(pairs, reports):
+                assert (r.lhs, r.rhs) == (lhs.value, rhs.value)
+                assert abs(lhs.value - rhs.value) <= lhs.error_estimate + rhs.error_estimate, (r.identity_id, m)
 
 
 @pytest.mark.parametrize("check", [check_theorem1, check_theorem2, check_theorem4])
